@@ -88,7 +88,6 @@ from .groups import (
     PermGroup,
     Permutation,
     close,
-    order_of,
 )
 from .invariants import SurfaceInvariants
 from .moebius import (

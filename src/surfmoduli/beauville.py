@@ -25,7 +25,6 @@ from .groups import PermGroup, Permutation
 from .invariants import SurfaceInvariants
 from .triangles import (
     SphericalTriple,
-    _base_triples,
     enumerate_triples,
     genus,
     is_hyperbolic,
@@ -104,12 +103,10 @@ def _canonical_pair_key(
 ) -> tuple:
     """Lexicographically least simultaneous conjugate of the six entries."""
     perms = (t1.a, t1.b, t1.c, t2.a, t2.b, t2.c)
-    best = None
-    for h in G.elements:
-        cand = tuple(p.conjugated_by(h).images for p in perms)
-        if best is None or cand < best:
-            best = cand
-    return best
+    return min(
+        tuple(p.conjugated_by(h).images for p in perms)
+        for h in G._inner.values()
+    )
 
 
 def _structure_from_key(G: PermGroup, key: tuple) -> BeauvilleStructure:
@@ -130,10 +127,11 @@ def search(G: PermGroup, stop_at_first: bool = False) -> list[BeauvilleStructure
     are deduplicated by the lexicographically least simultaneous conjugate
     and returned in deterministic order.
     """
-    first = _base_triples(G, hyperbolic_only=True)
+    second = enumerate_triples(G, hyperbolic_only=True)
+    reps = {cls.representative for cls in G.conjugacy_classes()}
+    first = [t for t in second if t.a in reps]
     if not first:
         return []
-    second = enumerate_triples(G, hyperbolic_only=True)
 
     identity_class = G.class_index_of(G.identity)
     buckets: dict[frozenset[int], list[SphericalTriple]] = {}

@@ -14,9 +14,8 @@ Exit codes: 0 success, 1 domain error (one-line diagnostic on stderr),
 2 usage error.  ``--json`` switches from the human table to a single JSON
 document with a fixed field order; integers are never emitted as floats
 and rationals are emitted as strings like ``"-3/2"``.  Progress for long
-searches goes to stderr only.  ``--threads`` is accepted for interface
-stability; the computation is sequential, so output is identical for any
-value.  ``--seed`` is reserved and affects nothing.
+searches goes to stderr only.  Braid words and factorizations are read as
+JSON lists of nonzero integers and lists of such lists.
 """
 
 from __future__ import annotations
@@ -41,11 +40,19 @@ def _emit(doc, args, rows=None):
         text = json.dumps(doc, separators=(",", ":"))
     else:
         text = "\n".join(rows if rows is not None else _flat_rows(doc))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
+    _write(text, args.out)
+
+
+def _write(text, out):
+    """Print ``text`` to stdout, or write it to the file ``out``."""
+    if not out:
         print(text)
+        return
+    try:
+        with open(out, "w") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise SurfModuliError(f"cannot write --out {out}: {exc.strerror}") from None
 
 
 def _flat_rows(doc):
@@ -66,10 +73,6 @@ def _human(v):
     if isinstance(v, list):
         return "[" + ", ".join(_human(x) for x in v) + "]"
     return str(v)
-
-
-def _frac_str(x: Fraction) -> str:
-    return str(x)
 
 
 # ---------------------------------------------------------------- group
@@ -174,12 +177,7 @@ def cmd_beauville_scan(args):
             f"{r.structures_found},{r.elapsed_ms}"
             for r in rows
         ]
-        text = "\n".join(lines)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        _write("\n".join(lines), args.out)
         return 0
     human = [
         f"{r.group:>14}  order {r.order:>5}  beauville {_human(r.beauville):>3}"
@@ -289,7 +287,7 @@ def cmd_hyperell_iso(args):
     m = mb.moebius_equivalent(b1, b2)
     doc = {
         "equivalent": m is not None,
-        "map": [[_frac_str(x) for x in row] for row in m.matrix()] if m else None,
+        "map": [[str(x) for x in row] for row in m.matrix()] if m else None,
     }
     _emit(doc, args)
     return 0
@@ -298,13 +296,24 @@ def cmd_hyperell_iso(args):
 # ---------------------------------------------------------------- braid
 
 
-def _parse_word(strands: int, text: str) -> br.BraidWord:
-    return br.BraidWord.from_ints(strands, json.loads(text))
+def _read_ints(name: str, text: str, nested: bool = False):
+    """A JSON list of integers, or with ``nested`` a list of such lists."""
+    try:
+        value = json.loads(text)
+    except ValueError:
+        value = None
+    words = value if nested else [value]
+    if not isinstance(words, list) or not all(
+        isinstance(w, list) and all(type(x) is int for x in w) for w in words
+    ):
+        kind = "lists of integers" if nested else "integers"
+        raise SurfModuliError(f"{name} must be a JSON list of {kind}, got {text!r}")
+    return value
 
 
 def cmd_braid_equal(args):
-    w1 = _parse_word(args.strands, args.w1)
-    w2 = _parse_word(args.strands, args.w2)
+    w1 = br.BraidWord.from_ints(args.strands, _read_ints("w1", args.w1))
+    w2 = br.BraidWord.from_ints(args.strands, _read_ints("w2", args.w2))
     doc = {
         "strands": args.strands,
         "w1": w1.to_ints(),
@@ -315,8 +324,13 @@ def cmd_braid_equal(args):
     return 0
 
 
+def _read_factors(args) -> br.Factorization:
+    factors = _read_ints("factors", args.factors, nested=True)
+    return br.Factorization.from_ints(args.strands, factors)
+
+
 def cmd_braid_product(args):
-    f = br.Factorization.from_ints(args.strands, json.loads(args.factors))
+    f = _read_factors(args)
     doc = {
         "strands": args.strands,
         "factors": f.to_ints(),
@@ -327,7 +341,7 @@ def cmd_braid_product(args):
 
 
 def cmd_braid_orbit(args):
-    f = br.Factorization.from_ints(args.strands, json.loads(args.factors))
+    f = _read_factors(args)
     orbit = br.hurwitz_orbit(f, budget=args.budget)
     doc = {
         "strands": args.strands,
@@ -344,15 +358,11 @@ def cmd_braid_orbit(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # output and execution flags live on every leaf so they can be given
-    # after the subcommand, e.g. `beauville search --group A5 --json`
+    # output flags live on every leaf so they can be given after the
+    # subcommand, e.g. `beauville search --group A5 --json`
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine output")
     common.add_argument("--out", metavar="FILE", help="write output to FILE")
-    common.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; runs sequentially")
-    common.add_argument("--seed", type=int, default=0,
-                        help="reserved; affects nothing")
 
     parser = argparse.ArgumentParser(
         prog="surfmoduli",

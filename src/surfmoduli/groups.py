@@ -140,11 +140,6 @@ class Permutation:
         return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
 
 
-def order_of(g: Permutation) -> int:
-    """Least ``k >= 1`` with ``g^k`` the identity."""
-    return g.order()
-
-
 class ConjugacyClass:
     """One conjugacy class, with its lexicographically least representative."""
 
@@ -228,9 +223,8 @@ class PermGroup:
         self._index = index
         self._parents = tuple(parents)
         self.name = name
-        self._order_cache: dict[int, int] = {}
         self._cyclic_cache: dict[int, frozenset[int]] = {}
-        self._power_sig_cache: dict[int, frozenset[int]] = {}
+        self._power_sig_cache: dict[int, frozenset[int]] = {}  # by class
 
     @property
     def order(self) -> int:
@@ -260,11 +254,7 @@ class PermGroup:
             raise ValueError(f"{g!r} is not an element of {self!r}") from None
 
     def element_order(self, g: Permutation) -> int:
-        i = self.index_of(g)
-        cached = self._order_cache.get(i)
-        if cached is None:
-            cached = self._order_cache[i] = g.order()
-        return cached
+        return len(self.cyclic_subgroup_indices(g))
 
     def generator_word(self, g: Permutation) -> list[int]:
         """A witness word: generator indices whose product is ``g``."""
@@ -331,13 +321,12 @@ class PermGroup:
         i = self.index_of(g)
         cached = self._cyclic_cache.get(i)
         if cached is None:
-            idxs = set()
-            p = g
-            while True:
-                idxs.add(self._index[p])
-                if p.is_identity():
-                    break
+            idxs = {i}
+            p, j = g, i
+            while j:  # the identity has index 0
                 p = p * g
+                j = self._index[p]
+                idxs.add(j)
             cached = self._cyclic_cache[i] = frozenset(idxs)
         return cached
 
@@ -347,18 +336,13 @@ class PermGroup:
         This is exactly the set of conjugacy classes contained in the union
         of all conjugates of all powers of ``g``.
         """
-        i = self.index_of(g)
-        cached = self._power_sig_cache.get(i)
+        ci = self.class_index_of(g)
+        cached = self._power_sig_cache.get(ci)
         if cached is None:
-            cidx = self._class_index
-            sig = set()
-            p = g
-            while True:
-                sig.add(cidx[p])
-                if p.is_identity():
-                    break
-                p = p * g
-            cached = self._power_sig_cache[i] = frozenset(sig)
+            cidx, elements = self._class_index, self.elements
+            cached = self._power_sig_cache[ci] = frozenset(
+                cidx[elements[j]] for j in self.cyclic_subgroup_indices(g)
+            )
         return cached
 
     def generates(self, elems: Sequence[Permutation]) -> bool:
@@ -414,12 +398,18 @@ class PermGroup:
         return True
 
     @cached_property
-    def _inner_generator_images(self) -> frozenset[tuple]:
+    def _inner(self) -> dict[tuple, Permutation]:
+        """Inner automorphisms, keyed by their generator images.
+
+        Conjugation by ``h`` depends only on the coset ``hZ(G)``, so each
+        key maps to the first element (in element order) inducing it: the
+        values are a transversal of the centre, identity first.
+        """
         gens = self.generators
-        out = set()
+        out: dict[tuple, Permutation] = {}
         for h in self.elements:
-            out.add(tuple(g.conjugated_by(h).images for g in gens))
-        return frozenset(out)
+            out.setdefault(tuple(g.conjugated_by(h).images for g in gens), h)
+        return out
 
     def _extend_generator_images(
         self, target: "PermGroup", images: Sequence[Permutation]
@@ -450,8 +440,13 @@ class PermGroup:
         lying in a conjugacy class of the same size; partial assignments
         are pruned when a product order disagrees.  Each returned map is
         flagged inner or outer.  Raises :class:`AutBoundExceeded` when the
-        group is larger than ``AUT_BOUND``.
+        group is larger than ``AUT_BOUND``.  The search runs once per
+        group; each call returns a fresh list of the same maps.
         """
+        return list(self._automorphisms)
+
+    @cached_property
+    def _automorphisms(self) -> tuple["GroupMap", ...]:
         if self.order > AUT_BOUND:
             raise AutBoundExceeded(
                 f"|G| = {self.order} exceeds AUT_BOUND = {AUT_BOUND}"
@@ -502,7 +497,7 @@ class PermGroup:
 
         backtrack(0)
         found.sort(key=lambda m: tuple(p.images for p in m.images))
-        return found
+        return tuple(found)
 
 
 class GroupMap:
@@ -557,7 +552,7 @@ class GroupMap:
         if self.source is not self.target:
             return False
         key = tuple(p.images for p in self.images)
-        return key in self.source._inner_generator_images
+        return key in self.source._inner
 
     def compose(self, other: "GroupMap") -> "GroupMap":
         """The map ``self o other`` (apply ``other`` first)."""

@@ -179,33 +179,6 @@ def sigma_class_indices(triple: SphericalTriple) -> frozenset[int]:
     )
 
 
-def _base_triples(
-    G: PermGroup,
-    triple_type: Optional[TripleType] = None,
-    hyperbolic_only: bool = False,
-) -> list[SphericalTriple]:
-    """Triples whose first entry is a conjugacy-class representative.
-
-    Every triple on G is a simultaneous conjugate of exactly one of these
-    with the same first-entry class; generation and type are conjugation
-    invariant, so filtering here is sound.
-    """
-    out = []
-    for cls in G.conjugacy_classes():
-        a = cls.representative
-        for b in G.elements:
-            if not G.generates_pair(a, b):
-                continue
-            c = (a * b).inverse()
-            t = SphericalTriple(G, a, b, c, _check=False)
-            if triple_type is not None and t.triple_type != triple_type:
-                continue
-            if hyperbolic_only and not is_hyperbolic(t):
-                continue
-            out.append(t)
-    return out
-
-
 def enumerate_triples(
     G: PermGroup,
     triple_type: Optional[TripleType] = None,
@@ -214,24 +187,35 @@ def enumerate_triples(
     """All generating triples of G, optionally filtered by type.
 
     Enumerates pairs with the first entry restricted to class
-    representatives, then closes the result back up under simultaneous
-    conjugation.  The output order is deterministic: by conjugacy class of
-    the first entry, then by element index of the first and second entries.
+    representatives (generation, type and genus are conjugation invariant,
+    so filtering them is sound), then closes the result back up under
+    simultaneous conjugation by a transversal of the centre (the identity
+    alone when G is abelian).  The output order is deterministic: by
+    conjugacy class of the first entry, then by element index of the first
+    and second entries.
     """
-    base_list = _base_triples(G, triple_type, hyperbolic_only)
-    if G.is_abelian:
-        # classes are singletons, so the base enumeration is already full
-        full = base_list
-    else:
-        seen: set[tuple] = set()
-        full = []
-        for base in base_list:
-            for h in G.elements:
-                t = base.conjugated_by(h)
-                k = t.key()
-                if k not in seen:
-                    seen.add(k)
-                    full.append(t)
+    base_list = []
+    for cls in G.conjugacy_classes():
+        a = cls.representative
+        for b in G.elements:
+            if not G.generates_pair(a, b):
+                continue
+            t = SphericalTriple(G, a, b, (a * b).inverse(), _check=False)
+            if triple_type is not None and t.triple_type != triple_type:
+                continue
+            if hyperbolic_only and not is_hyperbolic(t):
+                continue
+            base_list.append(t)
+    full = list(base_list)
+    seen = {t.key() for t in base_list}
+    conjugators = list(G._inner.values())[1:]  # skip the identity
+    for base in base_list:
+        for h in conjugators:
+            t = base.conjugated_by(h)
+            k = t.key()
+            if k not in seen:
+                seen.add(k)
+                full.append(t)
     index = G._index
     full.sort(
         key=lambda t: (
@@ -264,7 +248,7 @@ def triples_equivalent(
             return False
         return any(
             t1.a.conjugated_by(h) == t2.a and t1.b.conjugated_by(h) == t2.b
-            for h in G.elements
+            for h in G._inner.values()
         )
     if mode == "unmarked":
         return any(

@@ -6,6 +6,7 @@ from conftest import naive_canonical_pair, naive_sigma, naive_triples
 from surfmoduli import catalog
 from surfmoduli.beauville import (
     BeauvilleStructure,
+    _canonical_pair_key,
     is_beauville_pair,
     isogenous_invariants,
     scan,
@@ -102,6 +103,18 @@ class TestSearch:
             t1 = type(s.t1)(G, phi(s.t1.a), phi(s.t1.b), phi(s.t1.c))
             t2 = type(s.t2)(G, phi(s.t2.a), phi(s.t2.b), phi(s.t2.c))
             assert is_beauville_pair(t1, t2)
+
+    def test_canonical_key_matches_oracle_on_d4(self, small_catalog):
+        # Z(D4) has order 2: neither trivial nor the whole group, so the
+        # key minimises over a proper transversal of the centre
+        G = small_catalog["D4"]
+        triples = enumerate_triples(G)
+        assert triples
+        for t1 in triples:
+            for t2 in triples:
+                assert _canonical_pair_key(G, t1, t2) == naive_canonical_pair(
+                    G, (t1.a, t1.b, t1.c), (t2.a, t2.b, t2.c)
+                )
 
     def test_deterministic(self, small_catalog):
         G = small_catalog["EA5x5"]

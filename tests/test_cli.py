@@ -151,9 +151,57 @@ class TestInputs:
         assert "searching" in err
         assert "searching" not in out
 
-    def test_threads_flag_accepted_and_output_identical(self, capsys):
-        _, a, _ = run(capsys, "abc", "invariants", "3", "3", "3", "--json",
-                      "--threads", "1")
-        _, b, _ = run(capsys, "abc", "invariants", "3", "3", "3", "--json",
-                      "--threads", "4")
-        assert a == b
+    def test_retired_flags_are_usage_errors(self, capsys):
+        for flag, value in (("--threads", "4"), ("--seed", "1")):
+            with pytest.raises(SystemExit) as exc:
+                main(["abc", "invariants", "3", "3", "3", "--json", flag, value])
+            assert exc.value.code == 2
+
+    def test_unwritable_out_is_a_domain_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "abc", "invariants", "3", "3", "3", "3",
+                             "--json", "--out", str(target))
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot write --out ")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_scan_csv_goes_through_the_same_writer(self, capsys, tmp_path):
+        target = tmp_path / "scan.csv"
+        code, out, _ = run(capsys, "beauville", "scan", "--groups", "C5",
+                           "--csv", "--out", str(target))
+        assert code == 0 and out == ""
+        lines = target.read_text().splitlines()
+        assert lines[0] == "group,order,beauville,structures_found,elapsed_ms"
+        assert lines[1].startswith("C5,5,false,0,")
+        code, out, err = run(capsys, "beauville", "scan", "--groups", "C5",
+                             "--csv", "--out", str(tmp_path / "no" / "x.csv"))
+        assert code == 1 and out == ""
+        assert err.strip().splitlines()[-1].startswith("error: cannot write")
+
+
+class TestBraidInputShape:
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (("equal", "--strands", "3", "{}", "[]"), "w1"),
+            (("equal", "--strands", "3", "[1.5]", "[1]"), "w1"),
+            (("equal", "--strands", "3", "[1]", "[true]"), "w2"),
+            (("equal", "--strands", "3", '"1"', "[1]"), "w1"),
+            (("equal", "--strands", "3", "[1]", "[[1]]"), "w2"),
+            (("equal", "--strands", "3", "[1", "[1]"), "w1"),
+            (("product", "--strands", "3", "5"), "factors"),
+            (("orbit", "--strands", "3", "[1]"), "factors"),
+        ],
+        ids=["object", "float", "bool", "string", "nested-word", "not-json",
+             "int-factors", "word-as-factors"],
+    )
+    def test_malformed_json_is_a_domain_error(self, capsys, argv, bad):
+        code, out, err = run(capsys, "braid", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {bad} must be a JSON list of ")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_well_formed_input_still_accepted(self, capsys):
+        code, out, _ = run(capsys, "braid", "equal", "--strands", "3",
+                           "[]", "[1,-1]", "--json")
+        assert code == 0 and json.loads(out)["equal"] is True

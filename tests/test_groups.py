@@ -7,7 +7,7 @@ from conftest import naive_conjugacy_partition, naive_is_simple, naive_mulclose
 
 from surfmoduli import catalog
 from surfmoduli.errors import AutBoundExceeded, DegreeMismatch, OrderBoundExceeded
-from surfmoduli.groups import GroupMap, Permutation, close, order_of
+from surfmoduli.groups import GroupMap, Permutation, close
 
 
 class TestPermutation:
@@ -34,9 +34,9 @@ class TestPermutation:
         assert p.conjugated_by(h) == h * p * h.inverse()
 
     def test_order_examples(self):
-        assert order_of(Permutation.identity(3)) == 1
-        assert order_of(Permutation.from_cycles(5, [1, 2, 3, 4, 5])) == 5
-        assert order_of(Permutation.from_cycles(5, [1, 2], [3, 4, 5])) == 6
+        assert Permutation.identity(3).order() == 1
+        assert Permutation.from_cycles(5, [1, 2, 3, 4, 5]).order() == 5
+        assert Permutation.from_cycles(5, [1, 2], [3, 4, 5]).order() == 6
 
 
 class TestClose:
@@ -136,7 +136,7 @@ class TestGenerates:
         for name in ("S4", "C12", "D5"):
             G = small_catalog[name]
             for g in G.elements:
-                assert len(G.cyclic_subgroup_indices(g)) == order_of(g)
+                assert len(G.cyclic_subgroup_indices(g)) == g.order()
 
 
 class TestIsSimple:
@@ -203,6 +203,26 @@ class TestAutomorphisms:
         # |GL(2, 5)| = (25 - 1)(25 - 5)
         auts = small_catalog["EA5x5"].automorphisms()
         assert len(auts) == 480
+
+    def test_each_call_returns_a_fresh_list(self, small_catalog):
+        G = small_catalog["EA5x5"]
+        G.automorphisms().clear()
+        assert len(G.automorphisms()) == 480
+
+    def test_d4_inner_automorphisms(self, small_catalog):
+        # Aut(D4) = D4 and Inn(D4) = D4 / Z(D4) with Z(D4) of order 2
+        G = small_catalog["D4"]
+        auts = G.automorphisms()
+        assert len(auts) == 8
+        assert sum(a.is_inner for a in auts) == 4
+        inner = {
+            tuple(g.conjugated_by(h).images for g in G.generators)
+            for h in G.elements
+        }
+        flagged = {
+            tuple(p.images for p in a.images) for a in auts if a.is_inner
+        }
+        assert flagged == inner
 
     def test_counts_match_brute_force_bijections(self, small_catalog):
         # every bijective generator assignment that extends = automorphism

@@ -169,6 +169,14 @@ class TestEquivalence:
         for h in list(G.elements)[:8]:
             assert triples_equivalent(t, t.conjugated_by(h), mode="marked")
 
+    def test_marked_matches_conjugation_by_every_element(self, small_catalog):
+        G = small_catalog["D4"]  # centre of order 2
+        triples = enumerate_triples(G)
+        for t1 in triples:
+            for t2 in triples:
+                expected = any(t1.conjugated_by(h) == t2 for h in G.elements)
+                assert triples_equivalent(t1, t2, mode="marked") == expected
+
     def test_abelian_swap_is_unmarked_only(self, small_catalog):
         G = small_catalog["EA5x5"]
         x = G.generators[0]
