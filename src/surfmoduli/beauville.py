@@ -87,70 +87,62 @@ class BeauvilleStructure:
     def __repr__(self) -> str:
         return f"BeauvilleStructure({self.t1!r}, {self.t2!r})"
 
-    def as_dict(self, with_flag: bool = True) -> dict:
-        out = {
+    def as_dict(self) -> dict:
+        return {
             "t1": self.t1.as_dict(),
             "t2": self.t2.as_dict(),
             "invariants": self.invariants().as_dict(),
+            "triples_unmarked_equivalent": self.triples_unmarked_equivalent,
         }
-        if with_flag:
-            out["triples_unmarked_equivalent"] = self.triples_unmarked_equivalent
-        return out
 
 
-def _canonical_pair_key(
-    G: PermGroup, t1: SphericalTriple, t2: SphericalTriple
-) -> tuple:
-    """Lexicographically least simultaneous conjugate of the six entries."""
-    perms = (t1.a, t1.b, t1.c, t2.a, t2.b, t2.c)
-    return min(
-        tuple(p.conjugated_by(h).images for p in perms)
-        for h in G._inner.values()
-    )
+def _least_conjugator(t: SphericalTriple) -> Permutation:
+    """The element h of the centre transversal making h t h^-1 least.
 
-
-def _structure_from_key(G: PermGroup, key: tuple) -> BeauvilleStructure:
-    perms = [Permutation(images) for images in key]
-    t1 = SphericalTriple(G, perms[0], perms[1], perms[2], _check=False)
-    t2 = SphericalTriple(G, perms[3], perms[4], perms[5], _check=False)
-    return BeauvilleStructure(t1, t2, _check=False)
+    h is unique, as Inn(G) acts freely on generating triples; it also makes
+    any pair (t, t2) least, because a pair's key starts with t's key.
+    """
+    return min(t.group._inner.values(), key=lambda h: t.conjugated_by(h).key())
 
 
 def search(G: PermGroup, stop_at_first: bool = False) -> list[BeauvilleStructure]:
     """All unmixed Beauville structures on G, or the first one found.
 
-    The first triple runs over triples whose leading entry is a class
-    representative; since structures are reported up to simultaneous
-    conjugation this loses nothing.  Candidate second triples are bucketed
-    by the class support of their stabilizer set, and a pair is admitted
-    exactly when the two supports share only the identity class.  Results
-    are deduplicated by the lexicographically least simultaneous conjugate
-    and returned in deterministic order.
+    Candidate second triples are bucketed by the class support of their
+    stabilizer set, and a pair is admitted exactly when the two supports
+    share only the identity class.  The first triple t1 runs over triples
+    whose leading entry is a class representative, which meets every
+    orbit of simultaneous conjugation.  Inn(G) acts freely, so the orbit's
+    canonical form (its least pair) is the one pair whose t1 is least: the
+    listing keeps the pairs whose t1 is least, in key order.
     """
     second = enumerate_triples(G, hyperbolic_only=True)
     reps = {cls.representative for cls in G.conjugacy_classes()}
     first = [t for t in second if t.a in reps]
-    if not first:
-        return []
-
     identity_class = G.class_index_of(G.identity)
     buckets: dict[frozenset[int], list[SphericalTriple]] = {}
     for t in second:
         buckets.setdefault(sigma_class_indices(t), []).append(t)
 
-    found: dict[tuple, None] = {}
+    structures = []
     for t1 in first:
         sig1 = sigma_class_indices(t1)
-        for sig2, bucket in buckets.items():
-            if sig1 & sig2 != {identity_class}:
-                continue
-            for t2 in bucket:
-                key = _canonical_pair_key(G, t1, t2)
-                if key not in found:
-                    found[key] = None
-                    if stop_at_first:
-                        return [_structure_from_key(G, key)]
-    return [_structure_from_key(G, key) for key in sorted(found)]
+        partners = [
+            t2
+            for sig2, bucket in buckets.items()
+            if sig1 & sig2 == {identity_class}
+            for t2 in bucket
+        ]
+        if not partners:
+            continue
+        h = _least_conjugator(t1)
+        if stop_at_first:
+            t1, t2 = t1.conjugated_by(h), partners[0].conjugated_by(h)
+            return [BeauvilleStructure(t1, t2, _check=False)]
+        if h == G.identity:
+            structures += [BeauvilleStructure(t1, t2, _check=False) for t2 in partners]
+    structures.sort(key=BeauvilleStructure.key)
+    return structures
 
 
 def isogenous_invariants(

@@ -287,18 +287,18 @@ def enumerate_types(
 
     ``ksq`` is compared in the pullback convention unless
     ``paper_convention`` is set.  Types with d = b are additionally grouped
-    into diffeomorphism classes by their (b, a+c) invariant.
+    into diffeomorphism classes by their (b, a+c) invariant.  Each (a, b, c)
+    admits at most one d, solved from the printed ksq (a+c-2)(b+d-2).
     """
+    printed, rem = (ksq, 0) if paper_convention else divmod(ksq, 8)
     matches = []
-    for a in range(3, bound + 1):
-        for b in range(3, bound + 1):
-            for c in range(3, bound + 1):
-                for d in range(3, bound + 1):
-                    if _chi(a, b, c, d) != chi:
-                        continue
-                    printed = _ksq_paper(a, b, c, d)
-                    value = printed if paper_convention else 8 * printed
-                    if value == ksq:
+    if rem == 0:
+        for a in range(3, bound + 1):
+            for b in range(3, bound + 1):
+                for c in range(3, bound + 1):
+                    t, r = divmod(printed, a + c - 2)  # t = b + d - 2
+                    d = t + 2 - b
+                    if r == 0 and 3 <= d <= bound and _chi(a, b, c, d) == chi:
                         matches.append(BidoubleType(a, b, c, d))
     classes: dict[tuple[int, int], list[BidoubleType]] = {}
     for t in matches:

@@ -75,6 +75,14 @@ def _human(v):
     return str(v)
 
 
+def _parse(flag, text, kind, what):
+    """``kind(text)``, or a one-line domain error naming ``flag``."""
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError):
+        raise SurfModuliError(f"{flag}: {text!r} is not {what}") from None
+
+
 # ---------------------------------------------------------------- group
 
 
@@ -101,7 +109,7 @@ def cmd_triangles_enumerate(args):
     G = catalog.resolve(args.group)
     ttype = None
     if args.type:
-        parts = [int(v) for v in args.type.split(",")]
+        parts = [_parse("--type", v, int, "an integer") for v in args.type.split(",")]
         if len(parts) != 3:
             raise SurfModuliError("--type expects three comma-separated orders")
         ttype = tr.TripleType(*parts)
@@ -144,12 +152,10 @@ def cmd_beauville_search(args):
         "beauville": bool(results),
         "structures_found": len(results),
     }
+    rows = [f"{k}: {_human(v)}" for k, v in doc.items()]
     if args.structures:
         doc["structures"] = [s.as_dict() for s in results]
-    rows = [f"{k}: {_human(v)}" for k, v in doc.items() if k != "structures"]
-    if args.structures:
-        for s in results:
-            d = s.as_dict()
+        for d in doc["structures"]:
             rows.append(
                 f"  t1={d['t1']['type']} genus {d['t1']['genus']}"
                 f" / t2={d['t2']['type']} genus {d['t2']['genus']}"
@@ -266,10 +272,11 @@ def cmd_abc_classify(args):
 
 
 def cmd_hyperell_branch(args):
-    branch = mb.family_branch_set(args.genus, Fraction(args.param))
+    param = _parse("--param", args.param, Fraction, "a rational")
+    branch = mb.family_branch_set(args.genus, param)
     doc = {
         "genus": args.genus,
-        "param": str(Fraction(args.param)),
+        "param": str(param),
         "size": len(branch),
         "points": [repr(p) for p in branch.sorted_points()],
     }
@@ -277,13 +284,14 @@ def cmd_hyperell_branch(args):
     return 0
 
 
-def _parse_branch_set(text: str) -> mb.BranchSet:
-    return mb.BranchSet([mb.ProjPoint.parse(tok) for tok in text.split(",")])
+def _parse_branch_set(flag: str, text: str) -> mb.BranchSet:
+    parse, what = mb.ProjPoint.parse, "a rational or inf"
+    return mb.BranchSet([_parse(flag, tok, parse, what) for tok in text.split(",")])
 
 
 def cmd_hyperell_iso(args):
-    b1 = _parse_branch_set(args.set1)
-    b2 = _parse_branch_set(args.set2)
+    b1 = _parse_branch_set("--set1", args.set1)
+    b2 = _parse_branch_set("--set2", args.set2)
     m = mb.moebius_equivalent(b1, b2)
     doc = {
         "equivalent": m is not None,

@@ -186,8 +186,10 @@ def _mulclose(
             y = x * g
             if y not in index:
                 if len(elements) >= bound:
+                    name = "ORDER_BOUND" if bound == ORDER_BOUND else "bound"
                     raise OrderBoundExceeded(
-                        f"closure exceeded {bound} elements"
+                        f"closure exceeded {name} = {bound} elements;"
+                        " pass bound=N to close() to raise it"
                     )
                 index[y] = len(elements)
                 elements.append(y)
@@ -449,7 +451,8 @@ class PermGroup:
     def _automorphisms(self) -> tuple["GroupMap", ...]:
         if self.order > AUT_BOUND:
             raise AutBoundExceeded(
-                f"|G| = {self.order} exceeds AUT_BOUND = {AUT_BOUND}"
+                f"|G| = {self.order} exceeds AUT_BOUND = {AUT_BOUND};"
+                " set surfmoduli.groups.AUT_BOUND = N to raise it"
             )
         gens = self.generators
         class_size = {ci: len(c) for ci, c in enumerate(self._classes)}

@@ -186,44 +186,35 @@ def enumerate_triples(
 ) -> list[SphericalTriple]:
     """All generating triples of G, optionally filtered by type.
 
-    Enumerates pairs with the first entry restricted to class
-    representatives (generation, type and genus are conjugation invariant,
-    so filtering them is sound), then closes the result back up under
-    simultaneous conjugation by a transversal of the centre (the identity
-    alone when G is abelian).  The output order is deterministic: by
-    conjugacy class of the first entry, then by element index of the first
-    and second entries.
+    The base triples of a class are those whose first entry is its
+    representative r (generation, type and genus are conjugation
+    invariant, so filtering them is sound).  Inn(G) acts freely on
+    generating triples, so conjugating the base triples by one h with
+    h r h^-1 = x gives each triple starting at x exactly once.  The output
+    order is deterministic: by conjugacy class of the first entry, then by
+    element index of the first and second entries.
     """
-    base_list = []
+    index = G._index
+    full = []
     for cls in G.conjugacy_classes():
-        a = cls.representative
+        r = cls.representative
+        base = []
         for b in G.elements:
-            if not G.generates_pair(a, b):
+            if not G.generates_pair(r, b):
                 continue
-            t = SphericalTriple(G, a, b, (a * b).inverse(), _check=False)
+            t = SphericalTriple(G, r, b, (r * b).inverse(), _check=False)
             if triple_type is not None and t.triple_type != triple_type:
                 continue
             if hyperbolic_only and not is_hyperbolic(t):
                 continue
-            base_list.append(t)
-    full = list(base_list)
-    seen = {t.key() for t in base_list}
-    conjugators = list(G._inner.values())[1:]  # skip the identity
-    for base in base_list:
-        for h in conjugators:
-            t = base.conjugated_by(h)
-            k = t.key()
-            if k not in seen:
-                seen.add(k)
-                full.append(t)
-    index = G._index
-    full.sort(
-        key=lambda t: (
-            G.class_index_of(t.a),
-            index[t.a],
-            index[t.b],
-        )
-    )
+            base.append(t)
+        first_h: dict[Permutation, Permutation] = {}  # x -> first h in G._inner
+        for h in G._inner.values():
+            first_h.setdefault(r.conjugated_by(h), h)
+        block = list(base)  # the identity comes first and maps r to itself
+        for h in list(first_h.values())[1:]:
+            block.extend(t.conjugated_by(h) for t in base)
+        full.extend(sorted(block, key=lambda t: (index[t.a], index[t.b])))
     return full
 
 

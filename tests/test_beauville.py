@@ -1,12 +1,14 @@
 """Beauville structures: freeness test, search completeness, invariants."""
 
+from collections import Counter
+
 import pytest
 from conftest import naive_canonical_pair, naive_sigma, naive_triples
 
 from surfmoduli import catalog
 from surfmoduli.beauville import (
     BeauvilleStructure,
-    _canonical_pair_key,
+    _least_conjugator,
     is_beauville_pair,
     isogenous_invariants,
     scan,
@@ -14,7 +16,11 @@ from surfmoduli.beauville import (
     structure_invariants,
 )
 from surfmoduli.errors import GroupMismatch, NonIntegralChi
-from surfmoduli.triangles import enumerate_triples, is_hyperbolic
+from surfmoduli.triangles import (
+    enumerate_triples,
+    is_hyperbolic,
+    sigma_class_indices,
+)
 
 
 def quadruple_loop_structures(G):
@@ -106,15 +112,45 @@ class TestSearch:
 
     def test_canonical_key_matches_oracle_on_d4(self, small_catalog):
         # Z(D4) has order 2: neither trivial nor the whole group, so the
-        # key minimises over a proper transversal of the centre
+        # least conjugator ranges over a proper transversal of the centre
         G = small_catalog["D4"]
         triples = enumerate_triples(G)
         assert triples
         for t1 in triples:
+            h = _least_conjugator(t1)
             for t2 in triples:
-                assert _canonical_pair_key(G, t1, t2) == naive_canonical_pair(
+                key = t1.conjugated_by(h).key() + t2.conjugated_by(h).key()
+                assert key == naive_canonical_pair(
                     G, (t1.a, t1.b, t1.c), (t2.a, t2.b, t2.c)
                 )
+
+    def test_full_s5_listing_is_one_pair_per_orbit(self):
+        # S5 is Beauville and non-abelian with trivial centre, so each
+        # orbit of admissible pairs has 120 members and the listing keeps
+        # exactly the one whose first triple is least among its conjugates
+        G = catalog.symmetric(5)
+        results = search(G)
+        keys = [s.key() for s in results]
+        assert keys == sorted(set(keys))
+        identity_class = G.class_index_of(G.identity)
+        sizes = Counter(
+            sigma_class_indices(t) for t in enumerate_triples(G, hyperbolic_only=True)
+        )
+        admissible = sum(
+            n1 * n2
+            for sig1, n1 in sizes.items()
+            for sig2, n2 in sizes.items()
+            if sig1 & sig2 == {identity_class}
+        )
+        assert len(G._inner) == 120
+        assert len(results) * len(G._inner) == admissible
+        for s in results[:20] + results[-20:]:
+            assert s.key() == naive_canonical_pair(
+                G, (s.t1.a, s.t1.b, s.t1.c), (s.t2.a, s.t2.b, s.t2.c)
+            )
+        # the first admissible pair's first triple is not least among its
+        # conjugates, so stop_at_first must conjugate the pair into the list
+        assert search(G, stop_at_first=True)[0].key() in set(keys)
 
     def test_deterministic(self, small_catalog):
         G = small_catalog["EA5x5"]

@@ -228,3 +228,31 @@ class TestEnumerateTypes:
         assert enumerate_types(34, 16, 12, paper_convention=True).types == (
             BidoubleType(3, 3, 3, 3),
         )
+
+    @pytest.mark.parametrize("paper", [False, True], ids=["pullback", "paper"])
+    def test_matches_the_four_loop(self, paper):
+        bound = 10
+        # (chi, printed ksq) of a few types, some with an entry at the bound,
+        # plus chi off by one, so targets with and without matches
+        targets = []
+        for t in ((3, 3, 3, 3), (3, 4, 5, 6), (4, 3, 4, 5), (5, 5, 3, 3),
+                  (9, 10, 10, 4), (10, 10, 10, 10)):
+            chi = direct_image_chi(*t)
+            printed = (t[0] + t[2] - 2) * (t[1] + t[3] - 2)
+            ksq = printed if paper else 8 * printed
+            targets += [(chi, ksq), (chi + 1, ksq)]
+        # a target not divisible by 8, and nonpositive targets
+        targets += [(34, 132), (34, 0), (34, -8), (0, 0), (-5, -128)]
+        for chi, ksq in targets:
+            expected = tuple(
+                BidoubleType(a, b, c, d)
+                for a, b, c, d in itertools.product(range(3, bound + 1), repeat=4)
+                if direct_image_chi(a, b, c, d) == chi
+                and (a + c - 2) * (b + d - 2) * (1 if paper else 8) == ksq
+            )
+            got = enumerate_types(chi, ksq, bound, paper_convention=paper)
+            assert got.types == expected, (chi, ksq)
+        assert any(
+            enumerate_types(chi, ksq, bound, paper_convention=paper).types
+            for chi, ksq in targets
+        )

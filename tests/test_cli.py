@@ -205,3 +205,29 @@ class TestBraidInputShape:
         code, out, _ = run(capsys, "braid", "equal", "--strands", "3",
                            "[]", "[1,-1]", "--json")
         assert code == 0 and json.loads(out)["equal"] is True
+
+
+class TestNumberInputs:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("hyperell", "iso", "--set1", "0,1,2/0", "--set2", "0,1,2"),
+             "--set1: '2/0' is not a rational or inf"),
+            (("hyperell", "iso", "--set1", "0,1,2", "--set2", "0,1,x"),
+             "--set2: 'x' is not a rational or inf"),
+            (("hyperell", "branch", "--genus", "3", "--param", "1/0"),
+             "--param: '1/0' is not a rational"),
+            (("hyperell", "branch", "--genus", "3", "--param", "q"),
+             "--param: 'q' is not a rational"),
+            (("triangles", "enumerate", "--group", "S3", "--type", "a,b,c"),
+             "--type: 'a' is not an integer"),
+            (("triangles", "enumerate", "--group", "S3", "--type", "2,3,1/2"),
+             "--type: '1/2' is not an integer"),
+        ],
+        ids=["set1-zero-denominator", "set2-letter", "param-zero-denominator",
+             "param-letter", "type-letter", "type-fraction"],
+    )
+    def test_bad_number_names_its_flag(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"

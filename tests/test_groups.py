@@ -61,7 +61,11 @@ class TestClose:
             Permutation.from_cycles(5, [1, 2, 3, 4, 5]),
             Permutation.from_cycles(5, [1, 2]),
         ]
-        with pytest.raises(OrderBoundExceeded):
+        with pytest.raises(
+            OrderBoundExceeded,
+            match=r"^closure exceeded bound = 50 elements; "
+            r"pass bound=N to close\(\) to raise it$",
+        ):
             close(gens, bound=50)
 
     def test_elements_closed(self, small_catalog):
@@ -184,7 +188,11 @@ class TestAutomorphisms:
 
     def test_bound(self):
         G = catalog.symmetric(7)  # order 5040 > 2000
-        with pytest.raises(AutBoundExceeded):
+        with pytest.raises(
+            AutBoundExceeded,
+            match=r"^\|G\| = 5040 exceeds AUT_BOUND = 2000; "
+            r"set surfmoduli\.groups\.AUT_BOUND = N to raise it$",
+        ):
             G.automorphisms()
 
     def test_group_axioms(self, small_catalog):

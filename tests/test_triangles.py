@@ -104,8 +104,9 @@ class TestEnumeration:
         for name in ("C6", "S3", "A4", "S4", "D4", "EA3x3", "EA5x5"):
             G = small_catalog[name]
             oracle = {t for t in naive_triples(G)}
-            got = {(t.a, t.b, t.c) for t in enumerate_triples(G)}
-            assert got == oracle, name
+            got = [(t.a, t.b, t.c) for t in enumerate_triples(G)]
+            assert set(got) == oracle, name
+            assert len(got) == len(oracle), name  # no triple listed twice
 
     def test_deterministic_order(self, small_catalog):
         G = small_catalog["S4"]
