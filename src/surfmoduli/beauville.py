@@ -109,38 +109,43 @@ def search(G: PermGroup, stop_at_first: bool = False) -> list[BeauvilleStructure
     """All unmixed Beauville structures on G, or the first one found.
 
     Candidate second triples are bucketed by the class support of their
-    stabilizer set, and a pair is admitted exactly when the two supports
-    share only the identity class.  The first triple t1 runs over triples
-    whose leading entry is a class representative, which meets every
-    orbit of simultaneous conjugation.  Inn(G) acts freely, so the orbit's
-    canonical form (its least pair) is the one pair whose t1 is least: the
-    listing keeps the pairs whose t1 is least, in key order.
+    stabilizer set.  Whether two triples can pair depends only on their
+    supports (they must share only the identity class), so the compatible
+    buckets are found once per distinct support.  The first triple t1 runs
+    over triples whose leading entry is a class representative, which
+    meets every orbit of simultaneous conjugation.  Inn(G) acts freely, so
+    the orbit's canonical form (its least pair) is the one pair whose t1
+    is least: the listing keeps the pairs whose t1 is least, in key order.
     """
     second = enumerate_triples(G, hyperbolic_only=True)
     reps = {cls.representative for cls in G.conjugacy_classes()}
-    first = [t for t in second if t.a in reps]
     identity_class = G.class_index_of(G.identity)
     buckets: dict[frozenset[int], list[SphericalTriple]] = {}
     for t in second:
         buckets.setdefault(sigma_class_indices(t), []).append(t)
-
-    structures = []
-    for t1 in first:
-        sig1 = sigma_class_indices(t1)
-        partners = [
-            t2
+    compatible = {
+        sig1: [
+            bucket
             for sig2, bucket in buckets.items()
             if sig1 & sig2 == {identity_class}
-            for t2 in bucket
         ]
+        for sig1 in buckets
+    }
+
+    structures = []
+    for t1 in second:
+        if t1.a not in reps:
+            continue
+        partners = compatible[sigma_class_indices(t1)]
         if not partners:
             continue
         h = _least_conjugator(t1)
         if stop_at_first:
-            t1, t2 = t1.conjugated_by(h), partners[0].conjugated_by(h)
+            t1, t2 = t1.conjugated_by(h), partners[0][0].conjugated_by(h)
             return [BeauvilleStructure(t1, t2, _check=False)]
         if h == G.identity:
-            structures += [BeauvilleStructure(t1, t2, _check=False) for t2 in partners]
+            for bucket in partners:
+                structures += [BeauvilleStructure(t1, t2, _check=False) for t2 in bucket]
     structures.sort(key=BeauvilleStructure.key)
     return structures
 

@@ -31,7 +31,6 @@ components of their moduli space.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -158,32 +157,17 @@ def diffeo_equivalent(s: AbcType, s2: AbcType) -> Optional[list[AbcType]]:
     """
     if s.b != s2.b or s.a + s.c != s2.a + s2.c:
         return None
-    if s == s2:
-        return [s]
-    # steps move along the line a + c = const; breadth-first with parents
-    frontier = deque([s])
-    parent: dict[AbcType, Optional[AbcType]] = {s: None}
-    while frontier:
-        cur = frontier.popleft()
-        nexts = []
-        if _step_allowed(cur):
-            nexts.append(AbcType(cur.a + 1, cur.b, cur.c - 1))
-        if cur.a - 1 >= 1:
-            back = AbcType(cur.a - 1, cur.b, cur.c + 1)
-            if _step_allowed(back):
-                nexts.append(back)
-        for nxt in nexts:
-            if nxt in parent:
-                continue
-            parent[nxt] = cur
-            if nxt == s2:
-                chain = [nxt]
-                while parent[chain[-1]] is not None:
-                    chain.append(parent[chain[-1]])
-                chain.reverse()
-                return chain
-            frontier.append(nxt)
-    return None
+    # the types with this b and a + c form a path, one step apart, so the
+    # only possible chain is the straight walk from s toward s2
+    chain = [s]
+    step = 1 if s2.a > s.a else -1
+    while chain[-1] != s2:
+        cur = chain[-1]
+        nxt = AbcType(cur.a + step, cur.b, cur.c - step)
+        if not diffeo_step(cur, nxt):
+            return None
+        chain.append(nxt)
+    return chain
 
 
 _CONDITION_TEXT = {

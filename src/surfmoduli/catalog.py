@@ -176,12 +176,13 @@ def from_file(path: Union[str, Path]) -> PermGroup:
                 )
             degree = int(m.group(1))
             continue
-        images = [int(tok) for tok in line.split()]
-        if len(images) != degree:
-            raise ValueError(
-                f"{path}:{lineno}: expected {degree} images, got {len(images)}"
-            )
-        gens.append(Permutation(images))
+        try:
+            images = [int(tok) for tok in line.split()]
+            if len(images) != degree:
+                raise ValueError(f"expected {degree} images, got {len(images)}")
+            gens.append(Permutation(images))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     if degree is None:
         raise ValueError(f"{path}: missing 'degree n' header")
     if not gens:

@@ -162,42 +162,39 @@ class ConjugacyClass:
         return f"ConjugacyClass({self.representative!r}, size={len(self.elements)})"
 
 
-def _mulclose(
-    generators: Sequence[Permutation],
-    bound: int = ORDER_BOUND,
-    keep_parents: bool = False,
-):
+def _mulclose(generators: Sequence[Permutation], bound: int = ORDER_BOUND):
     """Breadth-first closure of ``generators`` under right multiplication.
 
-    Returns ``(elements, index, parents)`` where ``elements`` is in
-    deterministic BFS order starting from the identity and ``parents[i]``
-    is ``(parent_index, generator_index)`` recording one witness word per
-    element (``None`` for the identity).
+    Returns ``(elements, index, cayley)`` where ``elements`` is in
+    deterministic BFS order starting from the identity and ``cayley[i][k]``
+    is the index of ``elements[i] * generators[k]``: the Cayley graph,
+    recorded from the products the closure makes anyway.
     """
     degree = generators[0].degree
     identity = Permutation.identity(degree)
     elements = [identity]
     index = {identity: 0}
-    parents: list[Optional[tuple[int, int]]] = [None]
+    cayley: list[list[int]] = []
     frontier = 0
     while frontier < len(elements):
         x = elements[frontier]
-        for gi, g in enumerate(generators):
+        row = []
+        for g in generators:
             y = x * g
-            if y not in index:
+            j = index.get(y)
+            if j is None:
                 if len(elements) >= bound:
                     name = "ORDER_BOUND" if bound == ORDER_BOUND else "bound"
                     raise OrderBoundExceeded(
                         f"closure exceeded {name} = {bound} elements;"
                         " pass bound=N to close() to raise it"
                     )
-                index[y] = len(elements)
+                j = index[y] = len(elements)
                 elements.append(y)
-                parents.append((frontier, gi))
+            row.append(j)
+        cayley.append(row)
         frontier += 1
-    if keep_parents:
-        return elements, index, parents
-    return elements, index, None
+    return elements, index, cayley
 
 
 class PermGroup:
@@ -205,9 +202,10 @@ class PermGroup:
 
     Construct with :func:`close` or the builders in
     :mod:`surfmoduli.catalog`.  ``elements`` is a tuple in a deterministic
-    breadth-first order with the identity first; each element also carries
-    a witness word in the generators (used to extend generator assignments
-    to homomorphisms).  Groups compare by object identity.
+    breadth-first order with the identity first.  The group keeps the
+    Cayley graph its closure recorded (``_cayley[i][k]`` is the index of
+    ``elements[i] * generators[k]``), along which generator assignments
+    are extended to homomorphisms.  Groups compare by object identity.
     """
 
     def __init__(
@@ -216,14 +214,14 @@ class PermGroup:
         generators: Sequence[Permutation],
         elements: Sequence[Permutation],
         index: dict[Permutation, int],
-        parents: Sequence[Optional[tuple[int, int]]],
+        cayley: Sequence[Sequence[int]],
         name: Optional[str] = None,
     ):
         self.degree = degree
         self.generators = tuple(generators)
         self.elements = tuple(elements)
         self._index = index
-        self._parents = tuple(parents)
+        self._cayley = tuple(cayley)
         self.name = name
         self._cyclic_cache: dict[int, frozenset[int]] = {}
         self._power_sig_cache: dict[int, frozenset[int]] = {}  # by class
@@ -257,16 +255,6 @@ class PermGroup:
 
     def element_order(self, g: Permutation) -> int:
         return len(self.cyclic_subgroup_indices(g))
-
-    def generator_word(self, g: Permutation) -> list[int]:
-        """A witness word: generator indices whose product is ``g``."""
-        word: list[int] = []
-        i = self.index_of(g)
-        while self._parents[i] is not None:
-            i, gi = self._parents[i]
-            word.append(gi)
-        word.reverse()
-        return word
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -416,22 +404,22 @@ class PermGroup:
     def _extend_generator_images(
         self, target: "PermGroup", images: Sequence[Permutation]
     ) -> Optional[list[Permutation]]:
-        """Extend a generator assignment along the witness words.
+        """Extend a generator assignment along the Cayley graph.
 
-        Returns the full element-by-element image list when the assignment
-        is consistent with the whole multiplication table (checked against
-        every pair (element, generator)), else ``None``.
+        One pass over the edges ``x -> x * g`` in breadth-first order: the
+        first edge into an element sets its image, and every later edge
+        must agree with it.  Returns the element-by-element image list when
+        the assignment respects every product, else ``None``.
         """
         full: list[Optional[Permutation]] = [None] * self.order
         full[0] = target.identity
-        for i in range(1, self.order):
-            pi, gi = self._parents[i]
-            full[i] = full[pi] * images[gi]
-        index = self._index
-        for i, x in enumerate(self.elements):
+        for i, row in enumerate(self._cayley):
             fx = full[i]
-            for gi, g in enumerate(self.generators):
-                if full[index[x * g]] != fx * images[gi]:
+            for j, t in zip(row, images):
+                y = fx * t
+                if full[j] is None:
+                    full[j] = y
+                elif full[j] != y:
                     return None
         return full  # type: ignore[return-value]
 
@@ -506,9 +494,10 @@ class PermGroup:
 class GroupMap:
     """A homomorphism between materialized groups, given on generators.
 
-    The generator assignment is extended along each element's witness word
-    and checked for consistency against the full multiplication table at
-    construction; an inconsistent assignment raises ``ValueError``.
+    The generator assignment is extended along the source's Cayley graph
+    at construction, which also checks it against every product of an
+    element and a generator; an assignment that does not extend to a
+    homomorphism raises ``ValueError``.
     """
 
     def __init__(
@@ -612,5 +601,5 @@ def close(
             raise DegreeMismatch(
                 f"generator degrees differ: {degree} vs {g.degree}"
             )
-    elements, index, parents = _mulclose(generators, bound=bound, keep_parents=True)
-    return PermGroup(degree, generators, elements, index, parents, name=name)
+    elements, index, cayley = _mulclose(generators, bound=bound)
+    return PermGroup(degree, generators, elements, index, cayley, name=name)

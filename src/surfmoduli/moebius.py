@@ -224,13 +224,16 @@ def moebius_equivalent(b1: BranchSet, b2: BranchSet) -> Optional[MoebiusMap]:
     ordered triple of ``b1``, so trying every ordered triple of ``b2`` as
     the image is a complete decision procedure over the rationals.  Target
     triples are tried in lexicographic order of the sorted points and the
-    first certificate is returned.
+    first certificate is returned.  A candidate is rejected early when it
+    sends the fourth point of ``b1`` outside ``b2``; only a map that passes
+    is applied to the whole set.
     """
     if len(b1) != len(b2):
         raise SizeMismatch(f"branch sets of sizes {len(b1)} and {len(b2)}")
-    source = tuple(b1.sorted_points()[:3])
+    points = b1.sorted_points()
+    source, probe = tuple(points[:3]), points[3:4]  # no probe for 3 points
     for target in itertools.permutations(b2.sorted_points(), 3):
         m = MoebiusMap.through_triples(source, target)
-        if apply_map(m, b1) == b2:
+        if all(m(p) in b2 for p in probe) and apply_map(m, b1) == b2:
             return m
     return None

@@ -186,20 +186,30 @@ def enumerate_triples(
 ) -> list[SphericalTriple]:
     """All generating triples of G, optionally filtered by type.
 
-    The base triples of a class are those whose first entry is its
-    representative r (generation, type and genus are conjugation
-    invariant, so filtering them is sound).  Inn(G) acts freely on
-    generating triples, so conjugating the base triples by one h with
-    h r h^-1 = x gives each triple starting at x exactly once.  The output
-    order is deterministic: by conjugacy class of the first entry, then by
-    element index of the first and second entries.
+    For each class representative r, the second entries b run over
+    ``G.elements`` and only the first b of each orbit of the centraliser
+    C_G(r) is tested: (r, b) and (r, h b h^-1) with h in C_G(r) are
+    conjugate, and generation, type and genus are conjugation invariant.
+    Inn(G) acts freely on generating triples, so conjugating each kept
+    triple by every element of the centre transversal ``G._inner`` gives
+    each triple of its orbit exactly once, covering every first entry in
+    the class of r.  The output order is deterministic: by conjugacy class
+    of the first entry, then by element index of the first and second
+    entries.
     """
     index = G._index
+    others = list(G._inner.values())[1:]  # centre transversal minus identity
     full = []
     for cls in G.conjugacy_classes():
         r = cls.representative
-        base = []
-        for b in G.elements:
+        centraliser = [h for h in others if r.conjugated_by(h) == r]
+        marked = [False] * G.order
+        block = []
+        for i, b in enumerate(G.elements):
+            if marked[i]:
+                continue
+            for h in centraliser:
+                marked[index[b.conjugated_by(h)]] = True
             if not G.generates_pair(r, b):
                 continue
             t = SphericalTriple(G, r, b, (r * b).inverse(), _check=False)
@@ -207,13 +217,8 @@ def enumerate_triples(
                 continue
             if hyperbolic_only and not is_hyperbolic(t):
                 continue
-            base.append(t)
-        first_h: dict[Permutation, Permutation] = {}  # x -> first h in G._inner
-        for h in G._inner.values():
-            first_h.setdefault(r.conjugated_by(h), h)
-        block = list(base)  # the identity comes first and maps r to itself
-        for h in list(first_h.values())[1:]:
-            block.extend(t.conjugated_by(h) for t in base)
+            block.append(t)
+            block.extend(t.conjugated_by(h) for h in others)
         full.extend(sorted(block, key=lambda t: (index[t.a], index[t.b])))
     return full
 

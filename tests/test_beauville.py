@@ -152,6 +152,27 @@ class TestSearch:
         # conjugates, so stop_at_first must conjugate the pair into the list
         assert search(G, stop_at_first=True)[0].key() in set(keys)
 
+    def test_first_structure_is_the_first_admissible_pair(self, small_catalog):
+        # stop_at_first returns the canonical form of the first admissible
+        # pair in enumeration order: t1 the first hyperbolic triple led by a
+        # class representative that has a partner, t2 its first partner
+        for G in (small_catalog["EA5x5"], catalog.symmetric(5)):
+            triples = enumerate_triples(G, hyperbolic_only=True)
+            sigs = [sigma_class_indices(t) for t in triples]
+            reps = {cls.representative for cls in G.conjugacy_classes()}
+            identity_class = G.class_index_of(G.identity)
+            t1, t2 = next(
+                (t1, t2)
+                for t1, sig1 in zip(triples, sigs)
+                if t1.a in reps
+                for t2, sig2 in zip(triples, sigs)
+                if sig1 & sig2 == {identity_class}
+            )
+            expected = naive_canonical_pair(
+                G, (t1.a, t1.b, t1.c), (t2.a, t2.b, t2.c)
+            )
+            assert search(G, stop_at_first=True)[0].key() == expected, G
+
     def test_deterministic(self, small_catalog):
         G = small_catalog["EA5x5"]
         a = [s.key() for s in search(G)]

@@ -156,6 +156,29 @@ class TestDiffeoEquivalent:
                     }
                     assert reach2 <= reach  # transitive
 
+    def test_matches_flood_fill_with_blocked_steps(self):
+        # entries 1 and 2 block steps; oracle: reachability over diffeo_step
+        types = [
+            AbcType(a, b, c)
+            for a, b, c in itertools.product(range(1, 8), range(1, 4), range(1, 8))
+        ]
+        for s in types:
+            reach, work = {s}, [s]
+            while work:
+                x = work.pop()
+                for y in types:
+                    if y not in reach and diffeo_step(x, y):
+                        reach.add(y)
+                        work.append(y)
+            for s2 in types:
+                chain = diffeo_equivalent(s, s2)
+                assert (chain is not None) == (s2 in reach), (s, s2)
+                if chain is not None:
+                    assert chain[0] == s and chain[-1] == s2
+                    assert len(chain) == abs(s2.a - s.a) + 1
+                    for x, y in zip(chain, chain[1:]):
+                        assert diffeo_step(x, y)
+
     def test_chain_invariants_constant(self):
         chain = diffeo_equivalent(AbcType(2, 5, 8), AbcType(8, 5, 2))
         assert chain

@@ -1,5 +1,7 @@
 """Built-in constructors, name resolution, and the group file format."""
 
+import re
+
 import pytest
 
 from surfmoduli import catalog
@@ -65,6 +67,11 @@ def test_file_format_details(tmp_path):
     bad.write_text("degree 3\n1 2\n")
     with pytest.raises(ValueError):
         catalog.from_file(bad)
+    # a bad generator line names the file and the line
+    for line, reason in (("2 3 x", "invalid literal"), ("1 1 2", "not a bijection")):
+        bad.write_text(f"degree 3\n\n{line}\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(bad))}:3: {reason}"):
+            catalog.from_file(bad)
 
 
 def test_resolve_prefers_builtin_then_file(tmp_path):

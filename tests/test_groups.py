@@ -255,6 +255,31 @@ class TestGroupMap:
         with pytest.raises(ValueError):
             GroupMap(G, G, [b, a])  # order profile cannot match
 
+    def test_accepts_exactly_the_homomorphisms(self, small_catalog):
+        # oracle: spread the assignment over G along products with the
+        # generators, then check f(x y) = f(x) f(y) for every pair
+        for name in ("C6", "S3", "D4", "A4", "C2xC2"):
+            G = small_catalog[name]
+            for images in itertools.product(G.elements, repeat=len(G.generators)):
+                f = {G.identity: G.identity}
+                work = [G.identity]
+                while work:
+                    x = work.pop()
+                    for g, t in zip(G.generators, images):
+                        if x * g not in f:
+                            f[x * g] = f[x] * t
+                            work.append(x * g)
+                respects = all(
+                    f[x * y] == f[x] * f[y] for x in G.elements for y in G.elements
+                )
+                try:
+                    m = GroupMap(G, G, images)
+                except ValueError:
+                    assert not respects, (name, images)
+                    continue
+                assert respects, (name, images)
+                assert all(m(x) == f[x] for x in G.elements), (name, images)
+
     def test_mapping_respects_products(self, small_catalog):
         G = small_catalog["S3"]
         for m in G.automorphisms():

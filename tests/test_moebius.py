@@ -1,5 +1,6 @@
 """Branch sets and exact rational Moebius equivalence."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -60,8 +61,6 @@ def cross_ratio_equivalent(b1, b2):
     profile1 = sorted(
         cross_ratio(*t1, z).sort_key() for z in s1[3:]
     )
-    import itertools
-
     for t2 in itertools.permutations(b2.sorted_points(), 3):
         rest = [p for p in b2.sorted_points() if p not in t2]
         profile2 = sorted(cross_ratio(*t2, z).sort_key() for z in rest)
@@ -198,6 +197,31 @@ class TestEquivalence:
             back = moebius_equivalent(c, b)
             assert fwd is not None and back is not None
             assert apply_map(back, c) == b
+
+    def test_certificate_is_the_first_in_target_order(self):
+        # brute force: every ordered target triple in order, full image check
+        def first_certificate(b1, b2):
+            source = tuple(b1.sorted_points()[:3])
+            for target in itertools.permutations(b2.sorted_points(), 3):
+                m = MoebiusMap.through_triples(source, target)
+                if {m(p) for p in b1} == set(b2):
+                    return m
+            return None
+
+        rng = random.Random(31)
+        pairs = [(pts(0, 1, 2), pts(5, "inf", -1))]  # no fourth point
+        for _ in range(12):
+            b = random_branch_set(
+                rng, size=rng.choice([3, 4, 5, 7]), with_inf=rng.random() < 0.3
+            )
+            pairs.append((b, apply_map(random_map(rng), b)))
+            pairs.append((b, random_branch_set(rng, size=len(b))))
+        found = 0
+        for b1, b2 in pairs:
+            expected = first_certificate(b1, b2)
+            assert moebius_equivalent(b1, b2) == expected, (b1, b2)
+            found += expected is not None
+        assert 13 <= found < len(pairs)
 
     def test_agrees_with_cross_ratio_implementation(self):
         rng = random.Random(4242)
