@@ -10,14 +10,20 @@ free group of rank n,
 comparing the freely reduced images of all n free generators.  The tuple
 of images is also the canonical form used to hash factorizations during
 orbit enumeration, since factorwise braid equality is what the moves
-preserve.  Image words can grow exponentially, so a per-word length cap
-(default 10000 letters) aborts with :class:`BudgetExceeded` instead of
-thrashing.
+preserve.  Each image is carried together with its inverse while the
+letters are read, so a product of two reduced words is reduced by
+cancelling only where they meet: the longest common suffix of the left
+word and the right word's inverse is cut off both words, and the rest
+is joined by slicing, never by re-walking either word.  Image words can grow
+exponentially, so a per-word length cap (``WORD_CAP``, 10000 letters,
+read at call time; pass ``cap=N`` to override it) aborts with
+:class:`BudgetExceeded` instead of thrashing.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import deque
 from functools import lru_cache
 from typing import Iterable, Literal, Sequence
@@ -77,6 +83,14 @@ class BraidWord:
         self.letters = letters
 
     @classmethod
+    def _raw(cls, strands: int, letters: tuple) -> "BraidWord":
+        # products, inverses and conjugates of valid words are valid; skip validation
+        w = object.__new__(cls)
+        w.strands = strands
+        w.letters = letters
+        return w
+
+    @classmethod
     def from_ints(cls, strands: int, ints: Iterable[int]) -> "BraidWord":
         return cls(strands, ((abs(v), 1 if v > 0 else -1) for v in ints))
 
@@ -94,10 +108,10 @@ class BraidWord:
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if self.strands != other.strands:
             raise StrandMismatch(f"B_{self.strands} vs B_{other.strands}")
-        return BraidWord(self.strands, self.letters + other.letters)
+        return BraidWord._raw(self.strands, self.letters + other.letters)
 
     def inverse(self) -> "BraidWord":
-        return BraidWord(
+        return BraidWord._raw(
             self.strands, tuple((i, -s) for i, s in reversed(self.letters))
         )
 
@@ -119,38 +133,61 @@ class BraidWord:
         return f"BraidWord({self.strands}, {self.to_ints()})"
 
 
+def _join(u: FreeWord, u_inv: FreeWord, v: FreeWord, v_inv: FreeWord):
+    """The reduced product u v and its inverse, for reduced u and v.
+
+    Only the junction can cancel: the last k letters of u against the
+    first k of v, which are the last k letters of v^-1 inverted, so k is
+    the length of the longest common suffix of u and v^-1.
+    """
+    k = 0
+    if u and v and u[-1] == v_inv[-1]:
+        agree = map(operator.eq, reversed(u), reversed(v_inv))
+        k = len(list(itertools.takewhile(bool, agree)))
+    return u[: len(u) - k] + v[k:], v_inv[: len(v) - k] + u_inv[k:]
+
+
 @lru_cache(maxsize=65536)
 def _artin_images(strands: int, letters: tuple, cap: int) -> tuple[FreeWord, ...]:
     """Images of the free generators under the word's Artin action.
 
     Processes letters left to right, maintaining the images of
-    x_1 .. x_n under the prefix read so far; each letter only rewrites
-    the two neighbouring images.
+    x_1 .. x_n under the prefix read so far, each with its inverse; each
+    letter only rewrites the two neighbouring images.
     """
     images: list[FreeWord] = [((j, 1),) for j in range(1, strands + 1)]
+    inverses: list[FreeWord] = [((j, -1),) for j in range(1, strands + 1)]
     for i, s in letters:
-        a = images[i - 1]
-        b = images[i]
+        a, a_inv = images[i - 1], inverses[i - 1]
+        b, b_inv = images[i], inverses[i]
         if s == 1:
-            images[i - 1] = free_mul(a, b, free_inv(a))
-            images[i] = a
+            # x_i -> a b a^-1, x_{i+1} -> a
+            ab, ab_inv = _join(a, a_inv, b, b_inv)
+            images[i - 1], inverses[i - 1] = _join(ab, ab_inv, a_inv, a)
+            images[i], inverses[i] = a, a_inv
         else:
-            images[i - 1] = b
-            images[i] = free_mul(free_inv(b), a, b)
+            # x_i -> b, x_{i+1} -> b^-1 a b
+            images[i - 1], inverses[i - 1] = b, b_inv
+            ba, ba_inv = _join(b_inv, b, a, a_inv)
+            images[i], inverses[i] = _join(ba, ba_inv, b, b_inv)
         if len(images[i - 1]) > cap or len(images[i]) > cap:
+            name = "WORD_CAP" if cap == WORD_CAP else "cap"
             raise BudgetExceeded(
-                f"free-group image exceeded {cap} letters; "
-                "raise the cap to proceed"
+                f"free-group image exceeded {name} = {cap} letters;"
+                " pass cap=N to raise it"
             )
     return tuple(images)
 
 
-def artin_images(word: BraidWord, cap: int = WORD_CAP) -> tuple[FreeWord, ...]:
-    """Canonical form of a braid word: the reduced images of x_1 .. x_n."""
-    return _artin_images(word.strands, word.letters, cap)
+def artin_images(word: BraidWord, cap: int | None = None) -> tuple[FreeWord, ...]:
+    """Canonical form of a braid word: the reduced images of x_1 .. x_n.
+
+    ``cap`` defaults to the module's ``WORD_CAP`` at call time.
+    """
+    return _artin_images(word.strands, word.letters, WORD_CAP if cap is None else cap)
 
 
-def braid_equal(w1: BraidWord, w2: BraidWord, cap: int = WORD_CAP) -> bool:
+def braid_equal(w1: BraidWord, w2: BraidWord, cap: int | None = None) -> bool:
     """Exact equality in the braid group, via the faithful free action."""
     if w1.strands != w2.strands:
         raise StrandMismatch(f"B_{w1.strands} vs B_{w2.strands}")
@@ -243,7 +280,7 @@ def simultaneous_conjugation(f: Factorization, w: BraidWord) -> Factorization:
 
 
 def _node_pair(strands: int, u: BraidWord) -> tuple[BraidWord, BraidWord]:
-    half = BraidWord(strands, [(1, 1), (1, 1)])
+    half = BraidWord._raw(strands, ((1, 1), (1, 1)))
     ui = u.inverse()
     return (u * half * ui, u * half.inverse() * ui)
 
@@ -281,7 +318,7 @@ def node_pair_move(
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def canonical_key(f: Factorization, cap: int = WORD_CAP) -> tuple:
+def canonical_key(f: Factorization, cap: int | None = None) -> tuple:
     """Hashable canonical form: the Artin-image tuple of every factor."""
     return tuple(artin_images(w, cap) for w in f.factors)
 
@@ -310,7 +347,7 @@ def _orbit(
     f: Factorization,
     budget: int,
     moves,
-    cap: int,
+    cap: int | None,
 ) -> OrbitResult:
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -334,7 +371,7 @@ def _orbit(
 def hurwitz_orbit(
     f: Factorization,
     budget: int = 10_000,
-    cap: int = WORD_CAP,
+    cap: int | None = None,
     reverse_moves: bool = False,
 ) -> OrbitResult:
     """Breadth-first closure under Hurwitz moves and their inverses.
@@ -367,7 +404,7 @@ def m_equivalence_orbit(
     f: Factorization,
     budget: int,
     conjugator_cap: int = 1,
-    cap: int = WORD_CAP,
+    cap: int | None = None,
 ) -> OrbitResult:
     """Bounded closure under the full move set: Hurwitz moves, simultaneous
     conjugation by single generators, and node-pair creation/cancellation

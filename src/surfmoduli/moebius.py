@@ -5,8 +5,11 @@ infinity, maps are 2x2 rational matrices in a projective canonical form,
 and no floating point is used anywhere.  A map is determined by the images
 of three points, so equivalence of two n-point sets is decidable by fixing
 one ordered triple inside the first set and trying every ordered triple of
-the second as its image.  A ``None`` verdict therefore means "no rational
-equivalence"; equivalence over larger fields is out of scope.
+the second as its image.  A map preserves cross-ratios, so each candidate
+is first tested by where it must send a fourth point, computed from the
+cross-ratio in integer homogeneous coordinates; a map is built only for
+the few candidates that pass.  A ``None`` verdict therefore means "no
+rational equivalence"; equivalence over larger fields is out of scope.
 
 The built-in one-parameter family is the branch set of the genus-g
 hyperelliptic curve
@@ -20,6 +23,7 @@ any rational parameter a avoiding the fixed roots.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
@@ -217,23 +221,80 @@ def family_branch_set(genus: int, param: RationalLike) -> BranchSet:
     return BranchSet([ProjPoint(a)] + [ProjPoint(v) for v in fixed])
 
 
+def _homogeneous(p: ProjPoint) -> tuple[int, int]:
+    """Coordinates (n, d) of ``p`` in lowest terms with d > 0; inf is (1, 0)."""
+    if p.is_infinite:
+        return (1, 0)
+    return (p.value.numerator, p.value.denominator)
+
+
+def _reduced(n: int, d: int) -> tuple[int, int]:
+    """The coordinates of [n : d] in the form :func:`_homogeneous` gives."""
+    g = math.gcd(n, d)
+    if d < 0 or (d == 0 and n < 0):
+        g = -g
+    return (n // g, d // g)
+
+
+def _fourth_images(cross_ratio: Fraction, targets: list[ProjPoint]):
+    """For each ordered triple (q1, q2, q3) of ``targets``, in
+    lexicographic order: the triple and the point z with
+    [q1, q2, q3 -> 0, 1, inf](z) = ``cross_ratio``, in the coordinates
+    :func:`_homogeneous` gives.
+
+    Writing det(u, v) = u_n v_d - u_d v_n, that map is
+    z -> det(z, q1) det(q2, q3) / (det(z, q3) det(q2, q1)), and with
+    cross_ratio = l_n / l_d the vector
+
+        z = l_n det(q2, q1) q3 - l_d det(q2, q3) q1
+
+    solves it; the formula holds unchanged when some q_i is inf = (1, 0).
+    ``cross_ratio`` must be finite and not 0 or 1, so z is never the zero
+    vector.
+    """
+    ln, ld = cross_ratio.numerator, cross_ratio.denominator
+    coords = [_homogeneous(q) for q in targets]
+    for (q1, (n1, d1)), (q2, (n2, d2)), (q3, (n3, d3)) in itertools.permutations(
+        zip(targets, coords), 3
+    ):
+        la = ln * (n2 * d1 - d2 * n1)
+        lb = ld * (n2 * d3 - d2 * n3)
+        yield (q1, q2, q3), _reduced(la * n3 - lb * n1, la * d3 - lb * d1)
+
+
 def moebius_equivalent(b1: BranchSet, b2: BranchSet) -> Optional[MoebiusMap]:
     """A rational map carrying ``b1`` onto ``b2``, or ``None``.
 
     Any map with ``m(b1) = b2`` is determined by where it sends one fixed
-    ordered triple of ``b1``, so trying every ordered triple of ``b2`` as
-    the image is a complete decision procedure over the rationals.  Target
-    triples are tried in lexicographic order of the sorted points and the
-    first certificate is returned.  A candidate is rejected early when it
-    sends the fourth point of ``b1`` outside ``b2``; only a map that passes
-    is applied to the whole set.
+    ordered triple (p1, p2, p3) of ``b1``, so trying every ordered triple
+    of ``b2`` as the image is a complete decision procedure over the
+    rationals.  Target triples are tried in lexicographic order of the
+    sorted points and the first certificate is returned.
+
+    A candidate map sends a fourth point p4 of ``b1`` to the point with the
+    same cross-ratio: writing lambda = [p1, p2, p3 -> 0, 1, inf](p4), which
+    is finite and not 0 or 1, the image of p4 under the candidate for
+    (q1, q2, q3) is the z with [q1, q2, q3 -> 0, 1, inf](z) = lambda.  That
+    z is computed in integer arithmetic from lambda, which is found once,
+    and only a candidate whose z lies in ``b2`` is built as a map and
+    applied to the whole set.  Three-point sets have no fourth point, and
+    their first candidate is the certificate.
     """
     if len(b1) != len(b2):
         raise SizeMismatch(f"branch sets of sizes {len(b1)} and {len(b2)}")
     points = b1.sorted_points()
-    source, probe = tuple(points[:3]), points[3:4]  # no probe for 3 points
-    for target in itertools.permutations(b2.sorted_points(), 3):
+    targets = b2.sorted_points()
+    source = tuple(points[:3])
+    if len(points) == 3:
+        candidates = itertools.permutations(targets, 3)
+    else:
+        cross_ratio = MoebiusMap.to_zero_one_inf(*source)(points[3]).value
+        on_b2 = {_homogeneous(q) for q in targets}
+        candidates = (
+            target for target, z in _fourth_images(cross_ratio, targets) if z in on_b2
+        )
+    for target in candidates:
         m = MoebiusMap.through_triples(source, target)
-        if all(m(p) in b2 for p in probe) and apply_map(m, b1) == b2:
+        if apply_map(m, b1) == b2:
             return m
     return None

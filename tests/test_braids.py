@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from surfmoduli import braids
 from surfmoduli.braids import (
     BraidWord,
     Factorization,
@@ -113,6 +114,95 @@ class TestBraidEqual:
         w = W(3, [1, -2] * 20)
         with pytest.raises(BudgetExceeded):
             artin_images(w, cap=100)
+
+    def test_word_cap_message_names_the_cap_and_how_to_raise_it(self):
+        w = W(3, [1, -2] * 20)
+        with pytest.raises(BudgetExceeded, match=r"exceeded cap = 100 letters; pass cap=N "):
+            artin_images(w, cap=100)
+        with pytest.raises(BudgetExceeded, match=r"exceeded WORD_CAP = 10000 letters; pass cap=N "):
+            artin_images(w)
+
+    def test_module_word_cap_is_read_at_call_time(self, monkeypatch):
+        w = W(3, [1, -2] * 6)
+        images = artin_images(w)
+        assert max(len(x) for x in images) == 465
+        monkeypatch.setattr(braids, "WORD_CAP", 100)
+        with pytest.raises(BudgetExceeded, match=r"WORD_CAP = 100 letters"):
+            artin_images(w)
+        with pytest.raises(BudgetExceeded, match=r"WORD_CAP = 100 letters"):
+            hurwitz_orbit(Factorization(3, [w, W(3, [1])]), budget=10)
+        assert artin_images(w, cap=465) == images
+
+
+def reference_images(word, cap):
+    """Artin images letter by letter, each product reduced from scratch by
+    free_reduce; None when some image passes ``cap`` after some letter."""
+    def inv(u):
+        return tuple((g, -e) for g, e in reversed(u))
+
+    images = [((j, 1),) for j in range(1, word.strands + 1)]
+    for i, s in word.letters:
+        a, b = images[i - 1], images[i]
+        if s == 1:
+            images[i - 1], images[i] = free_reduce(a + b + inv(a)), a
+        else:
+            images[i - 1], images[i] = b, free_reduce(inv(b) + a + b)
+        if len(images[i - 1]) > cap or len(images[i]) > cap:
+            return None
+    return tuple(images)
+
+
+def cancelling_corpus(seed, count):
+    """Seeded B3/B4 words: plain words, conjugates u w u^-1, and words
+    followed by their own inverse, whose images cancel heavily."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        n = rng.choice((3, 4))
+        w = random_word(rng, n, max_len=10)
+        if k % 3 == 1:
+            u = random_word(rng, n, max_len=8)
+            w = u * w * u.inverse()
+        elif k % 3 == 2:
+            w = w * random_word(rng, n, max_len=4) * w.inverse()
+        out.append(w)
+    return out
+
+
+class TestArtinAction:
+    def test_matches_letter_by_letter_reference(self):
+        corpus = cancelling_corpus(606, 300)
+        longest = 0
+        for w in corpus:
+            want = reference_images(w, cap=10**9)
+            assert artin_images(w) == want, w
+            longest = max(longest, max(len(x) for x in want))
+        # the corpus reaches long images, not only short ones
+        assert longest > 200
+
+    def test_cap_raises_on_the_same_inputs_as_the_reference(self):
+        corpus = cancelling_corpus(607, 200)
+        raised = 0
+        for w in corpus:
+            for cap in (8, 40):
+                want = reference_images(w, cap)
+                if want is None:
+                    raised += 1
+                    with pytest.raises(BudgetExceeded):
+                        artin_images(w, cap=cap)
+                else:
+                    assert artin_images(w, cap=cap) == want
+        assert 0 < raised < 2 * len(corpus)
+
+
+class TestValidation:
+    def test_public_construction_is_checked(self):
+        with pytest.raises(ValueError):
+            BraidWord(3, [(3, 1)])
+        with pytest.raises(ValueError):
+            BraidWord(3, [(1, 2)])
+        with pytest.raises(ValueError):
+            W(3, [0])
 
 
 class TestProduct:

@@ -236,3 +236,79 @@ class TestEquivalence:
             assert got == cross_ratio_equivalent(b, other)
             agree_cases += 1
         assert agree_cases == 40
+
+
+class TestFourthPointFilter:
+    """moebius_equivalent against a brute-force loop that finds each
+    candidate's fourth-point image by searching b2 for a point of equal
+    cross-ratio (the test's own ``cross_ratio``), not by the library's
+    closed form."""
+
+    @staticmethod
+    def brute_force(b1, b2):
+        """(first certificate or None, targets up to it that pass the
+        fourth-point test, how many of those send the fourth point to inf)."""
+        points = b1.sorted_points()
+        source = tuple(points[:3])
+        lam = cross_ratio(*source, points[3]) if len(points) > 3 else None
+        passing, to_inf = [], 0
+        for target in itertools.permutations(b2.sorted_points(), 3):
+            if lam is not None:
+                images = [z for z in b2 if cross_ratio(*target, z) == lam]
+                if not images:
+                    continue
+                to_inf += images == [INF]
+            passing.append(target)
+            m = MoebiusMap.through_triples(source, target)
+            if {m(p) for p in b1} == set(b2):
+                return m, passing, to_inf
+        return None, passing, to_inf
+
+    @staticmethod
+    def pairs():
+        rng = random.Random(6006)
+        out = [
+            (pts(0, 1, 2), pts(5, "inf", -1)),  # n = 3, inf as a target
+            (pts(0, 1, "inf"), pts(7, 8, 9)),  # n = 3, inf in b1 only
+            (pts(0, 1, 2, 3), pts(0, 1, 2, "inf")),  # fourth image at inf
+            (pts(0, 1, "inf", 3), pts(0, 1, "inf", 4)),  # n = 4, inequivalent
+            (pts(0, 1, "inf", 3), pts(0, 1, "inf", Fraction(3, 2))),  # inf in both
+            (pts(0, 1, 2, 3), pts(0, 1, 2, 4)),  # n = 4, no inf
+        ]
+        # the fourth point of b1 goes to inf, inf elsewhere in b1 or not
+        for with_inf in (False, True):
+            b = random_branch_set(rng, size=6, with_inf=with_inf)
+            p4 = b.sorted_points()[3]
+            out.append((b, apply_map(MoebiusMap(1, 0, 1, -p4.value), b)))
+        for _ in range(6):  # seeded n = 10 pairs
+            b = random_branch_set(rng, size=10, with_inf=rng.random() < 0.4)
+            out.append((b, apply_map(random_map(rng), b)))
+            out.append((b, random_branch_set(rng, size=10, with_inf=rng.random() < 0.4)))
+        for _ in range(6):  # seeded n = 4 pairs
+            b = random_branch_set(rng, size=4, with_inf=rng.random() < 0.5)
+            out.append((b, apply_map(random_map(rng), b)))
+            out.append((b, random_branch_set(rng, size=4, with_inf=rng.random() < 0.5)))
+        return out
+
+    def test_same_first_certificate_and_maps_only_for_passing_targets(self, monkeypatch):
+        built = []
+        real = MoebiusMap.through_triples
+
+        def recording(source, target):
+            built.append(target)
+            return real(source, target)
+
+        pairs = self.pairs()
+        found = infinite_fourth = 0
+        for b1, b2 in pairs:
+            expected, passing, to_inf = self.brute_force(b1, b2)
+            built.clear()
+            monkeypatch.setattr(MoebiusMap, "through_triples", staticmethod(recording))
+            got = moebius_equivalent(b1, b2)
+            monkeypatch.undo()
+            assert got == expected, (b1, b2)
+            assert built == passing, (b1, b2)
+            found += expected is not None
+            infinite_fourth += to_inf
+        assert 14 <= found < len(pairs)
+        assert infinite_fourth >= 3
