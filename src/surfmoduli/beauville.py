@@ -17,6 +17,7 @@ with q = 0 and pg = chi - 1 because both quotient curves are rational.
 from __future__ import annotations
 
 import time
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -109,9 +110,10 @@ def search(G: PermGroup, stop_at_first: bool = False) -> list[BeauvilleStructure
     """All unmixed Beauville structures on G, or the first one found.
 
     Candidate second triples are bucketed by the class support of their
-    stabilizer set.  Whether two triples can pair depends only on their
-    supports (they must share only the identity class), so the compatible
-    buckets are found once per distinct support.  The first triple t1 runs
+    stabilizer set, an int bitmask with bit 0 the identity class.  Whether
+    two triples can pair depends only on their supports (they must share
+    only the identity class: ``s1 & s2 == 1``), so the compatible buckets
+    are found once per distinct support.  The first triple t1 runs
     over triples whose leading entry is a class representative, which
     meets every orbit of simultaneous conjugation.  Inn(G) acts freely, so
     the orbit's canonical form (its least pair) is the one pair whose t1
@@ -119,16 +121,11 @@ def search(G: PermGroup, stop_at_first: bool = False) -> list[BeauvilleStructure
     """
     second = enumerate_triples(G, hyperbolic_only=True)
     reps = {cls.representative for cls in G.conjugacy_classes()}
-    identity_class = G.class_index_of(G.identity)
-    buckets: dict[frozenset[int], list[SphericalTriple]] = {}
+    buckets: dict[int, list[SphericalTriple]] = {}
     for t in second:
         buckets.setdefault(sigma_class_indices(t), []).append(t)
     compatible = {
-        sig1: [
-            bucket
-            for sig2, bucket in buckets.items()
-            if sig1 & sig2 == {identity_class}
-        ]
+        sig1: [bucket for sig2, bucket in buckets.items() if sig1 & sig2 == 1]
         for sig1 in buckets
     }
 
@@ -181,35 +178,22 @@ def structure_invariants(structure: BeauvilleStructure) -> SurfaceInvariants:
     )
 
 
+@dataclass(frozen=True)
 class ScanRow:
     """One row of a family scan report."""
 
-    __slots__ = ("group", "order", "beauville", "structures_found",
-                 "elapsed_ms", "error")
-
-    def __init__(self, group, order, beauville, structures_found, elapsed_ms,
-                 error=None):
-        self.group = group
-        self.order = order
-        self.beauville = beauville
-        self.structures_found = structures_found
-        self.elapsed_ms = elapsed_ms
-        self.error = error
+    group: str
+    order: int
+    beauville: bool
+    structures_found: int
+    elapsed_ms: int
+    error: str | None = None
 
     def as_dict(self) -> dict:
-        out = {
-            "group": self.group,
-            "order": self.order,
-            "beauville": self.beauville,
-            "structures_found": self.structures_found,
-            "elapsed_ms": self.elapsed_ms,
-        }
-        if self.error is not None:
-            out["error"] = self.error
+        out = asdict(self)
+        if self.error is None:
+            del out["error"]
         return out
-
-    def __repr__(self) -> str:
-        return f"ScanRow({self.as_dict()!r})"
 
 
 def scan(

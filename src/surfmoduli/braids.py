@@ -290,6 +290,7 @@ def node_pair_move(
     i: int,
     u: BraidWord,
     direction: Literal["create", "cancel"],
+    cap: int | None = None,
 ) -> Factorization:
     """Insert or remove the adjacent node pair (u s1^2 u^-1, u s1^-2 u^-1).
 
@@ -297,6 +298,7 @@ def node_pair_move(
     cancellation requires the factors already at those positions to be
     braid-equal to the pair for the supplied conjugator, else
     :class:`CancelMismatch`.  The product is preserved either way.
+    ``cap`` bounds the word-problem check as in :func:`braid_equal`.
     """
     if u.strands != f.strands:
         raise StrandMismatch(f"B_{u.strands} vs B_{f.strands}")
@@ -308,7 +310,7 @@ def node_pair_move(
         return Factorization(f.strands, t)
     if direction == "cancel":
         _check_position(f, i, len(f) - 1)
-        if not (braid_equal(t[i - 1], pos) and braid_equal(t[i], neg)):
+        if not (braid_equal(t[i - 1], pos, cap) and braid_equal(t[i], neg, cap)):
             raise CancelMismatch(
                 f"factors at positions {i}, {i + 1} are not the node pair "
                 f"for the supplied conjugator"
@@ -432,7 +434,7 @@ def m_equivalence_orbit(
                 out.append(node_pair_move(cur, i, u, "create"))
             for i in range(1, len(cur)):
                 try:
-                    out.append(node_pair_move(cur, i, u, "cancel"))
+                    out.append(node_pair_move(cur, i, u, "cancel", cap))
                 except CancelMismatch:
                     pass
         return out

@@ -17,6 +17,7 @@ images, and lines starting with ``#`` are comments.
 
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 from typing import Iterable, Optional, Union
@@ -79,7 +80,7 @@ def elementary_abelian(p: int) -> PermGroup:
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    return all(n % d for d in range(2, int(n**0.5) + 1))
+    return all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def psl2(p: int) -> PermGroup:

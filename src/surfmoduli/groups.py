@@ -224,7 +224,6 @@ class PermGroup:
         self._cayley = tuple(cayley)
         self.name = name
         self._cyclic_cache: dict[int, frozenset[int]] = {}
-        self._power_sig_cache: dict[int, frozenset[int]] = {}  # by class
 
     @property
     def order(self) -> int:
@@ -264,47 +263,46 @@ class PermGroup:
         )
 
     @cached_property
-    def _classes(self) -> tuple[ConjugacyClass, ...]:
-        gens = self.generators
-        assigned = [False] * self.order
-        classes = []
+    def _class_of(self) -> list[int]:
+        """Class index of each element index, by conjugation orbits.
+
+        Classes are numbered in order of their first element, so the
+        identity class is class 0.
+        """
+        gens, elements, index = self.generators, self.elements, self._index
+        class_of = [-1] * self.order
+        count = 0
         for start in range(self.order):
-            if assigned[start]:
+            if class_of[start] >= 0:
                 continue
-            seed = self.elements[start]
-            orbit = [seed]
-            seen = {seed}
-            assigned[start] = True
-            frontier = 0
-            while frontier < len(orbit):
-                x = orbit[frontier]
+            class_of[start] = count
+            orbit = [start]
+            for i in orbit:
+                x = elements[i]
                 for g in gens:
-                    y = x.conjugated_by(g)
-                    if y not in seen:
-                        seen.add(y)
-                        orbit.append(y)
-                        assigned[self._index[y]] = True
-                frontier += 1
-            rep = min(seen, key=lambda p: p.images)
-            classes.append(ConjugacyClass(rep, frozenset(seen)))
-        return tuple(classes)
+                    j = index[x.conjugated_by(g)]
+                    if class_of[j] < 0:
+                        class_of[j] = count
+                        orbit.append(j)
+            count += 1
+        return class_of
 
     @cached_property
-    def _class_index(self) -> dict[Permutation, int]:
-        out = {}
-        for ci, cls in enumerate(self._classes):
-            for g in cls.elements:
-                out[g] = ci
-        return out
+    def _classes(self) -> tuple[ConjugacyClass, ...]:
+        members: list[list[Permutation]] = [[] for _ in range(max(self._class_of) + 1)]
+        for g, ci in zip(self.elements, self._class_of):
+            members[ci].append(g)
+        return tuple(
+            ConjugacyClass(min(m, key=lambda p: p.images), frozenset(m))
+            for m in members
+        )
 
     def conjugacy_classes(self) -> tuple[ConjugacyClass, ...]:
         """Partition into conjugation orbits, identity class first."""
         return self._classes
 
     def class_index_of(self, g: Permutation) -> int:
-        if g not in self._index:
-            raise ValueError(f"{g!r} is not an element of {self!r}")
-        return self._class_index[g]
+        return self._class_of[self.index_of(g)]
 
     def cyclic_subgroup_indices(self, g: Permutation) -> frozenset[int]:
         """Element indices of the cyclic subgroup generated by ``g``."""
@@ -320,20 +318,27 @@ class PermGroup:
             cached = self._cyclic_cache[i] = frozenset(idxs)
         return cached
 
-    def power_class_signature(self, g: Permutation) -> frozenset[int]:
-        """Class indices met by the nontrivial and trivial powers of ``g``.
+    @cached_property
+    def _power_masks(self) -> list[int]:
+        """Per class, the bitmask of the classes its elements' powers meet."""
+        class_of = self._class_of
+        masks = [0] * (max(class_of) + 1)
+        for g, ci in zip(self.elements, class_of):
+            if not masks[ci]:
+                powers = self.cyclic_subgroup_indices(g)
+                masks[ci] = sum({1 << class_of[j] for j in powers})
+        return masks
 
-        This is exactly the set of conjugacy classes contained in the union
-        of all conjugates of all powers of ``g``.
+    def power_class_signature(self, g: Permutation) -> int:
+        """Bitmask of the classes met by the powers of ``g``.
+
+        Bit ``i`` is set iff class ``i`` contains a power of ``g``; bit 0,
+        the identity class, is always set.  The set classes are exactly
+        those contained in the union of all conjugates of all powers of
+        ``g``, so two such unions meet only in the identity iff the AND of
+        their masks is 1.
         """
-        ci = self.class_index_of(g)
-        cached = self._power_sig_cache.get(ci)
-        if cached is None:
-            cidx, elements = self._class_index, self.elements
-            cached = self._power_sig_cache[ci] = frozenset(
-                cidx[elements[j]] for j in self.cyclic_subgroup_indices(g)
-            )
-        return cached
+        return self._power_masks[self._class_of[self.index_of(g)]]
 
     def generates(self, elems: Sequence[Permutation]) -> bool:
         """True iff the closure of ``elems`` is the whole group."""
@@ -359,22 +364,23 @@ class PermGroup:
         return len(sub) == self.order
 
     def normal_closure_size(self, g: Permutation) -> int:
-        """Order of the smallest normal subgroup containing ``g``."""
-        gens = [g]
-        while True:
-            sub, sub_index, _ = _mulclose(gens, bound=self.order + 1)
-            new = None
-            for h in self.generators:
-                for x in sub:
-                    y = x.conjugated_by(h)
-                    if y not in sub_index:
-                        new = y
-                        break
-                if new is not None:
-                    break
-            if new is None:
-                return len(sub)
-            gens.append(new)
+        """Order of the smallest normal subgroup containing ``g``.
+
+        One breadth-first pass from the identity along ``x -> x g`` and
+        ``x -> h x h^-1`` (h a generator) suffices: the set it reaches is
+        closed under conjugation, so with x it holds h (h^-1 x h g) h^-1,
+        which is x times the conjugate h g h^-1 of g.
+        """
+        self.index_of(g)
+        gens = self.generators
+        reached = {self.identity}
+        queue = [self.identity]
+        for x in queue:
+            for y in (x * g, *(x.conjugated_by(h) for h in gens)):
+                if y not in reached:
+                    reached.add(y)
+                    queue.append(y)
+        return len(reached)
 
     def is_simple(self) -> bool:
         """True iff every nontrivial class normally generates the group."""
@@ -443,19 +449,16 @@ class PermGroup:
                 " set surfmoduli.groups.AUT_BOUND = N to raise it"
             )
         gens = self.generators
-        class_size = {ci: len(c) for ci, c in enumerate(self._classes)}
+        kind = [(self.element_order(c.representative), len(c)) for c in self._classes]
         candidates = []
         for g in gens:
-            og = self.element_order(g)
-            sz = class_size[self.class_index_of(g)]
+            want = kind[self.class_index_of(g)]
             candidates.append(
-                [
-                    t
-                    for t in self.elements
-                    if self.element_order(t) == og
-                    and class_size[self.class_index_of(t)] == sz
-                ]
+                [t for t, ci in zip(self.elements, self._class_of) if kind[ci] == want]
             )
+        pair_orders = [
+            [(gens[j] * g).order() for j in range(pos)] for pos, g in enumerate(gens)
+        ]
 
         found: list[GroupMap] = []
         assignment: list[Permutation] = []
@@ -464,24 +467,13 @@ class PermGroup:
             if pos == len(gens):
                 full = self._extend_generator_images(self, assignment)
                 if full is not None and len(set(full)) == self.order:
-                    found.append(
-                        GroupMap(
-                            self,
-                            self,
-                            tuple(assignment),
-                            _full_images=full,
-                        )
-                    )
+                    found.append(GroupMap(self, self, assignment, _full_images=full))
                 return
             for t in candidates[pos]:
-                ok = True
-                for j in range(pos):
-                    if (gens[j] * gens[pos]).order() != (
-                        assignment[j] * t
-                    ).order():
-                        ok = False
-                        break
-                if ok:
+                if all(
+                    (x * t).order() == o
+                    for x, o in zip(assignment, pair_orders[pos])
+                ):
                     assignment.append(t)
                     backtrack(pos + 1)
                     assignment.pop()
@@ -521,13 +513,10 @@ class GroupMap:
                     "generator assignment does not extend to a homomorphism"
                 )
         self._full = _full_images
-        self._mapping = {
-            g: _full_images[i] for i, g in enumerate(source.elements)
-        }
 
     def __call__(self, g: Permutation) -> Permutation:
         try:
-            return self._mapping[g]
+            return self._full[self.source._index[g]]
         except KeyError:
             raise ValueError(f"{g!r} is not in the source group") from None
 
@@ -559,12 +548,9 @@ class GroupMap:
     def inverse(self) -> "GroupMap":
         if not self.is_bijective:
             raise ValueError("only bijective maps can be inverted")
-        back = {v: k for k, v in self._mapping.items()}
-        return GroupMap(
-            self.target,
-            self.source,
-            tuple(back[g] for g in self.target.generators),
-        )
+        elements, full = self.source.elements, self._full
+        back = [elements[full.index(g)] for g in self.target.generators]
+        return GroupMap(self.target, self.source, back)
 
     def __eq__(self, other) -> bool:
         return (

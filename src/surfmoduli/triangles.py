@@ -161,16 +161,21 @@ def sigma_set(triple: SphericalTriple) -> frozenset[Permutation]:
     a, b and c; it always contains the identity and is closed under
     conjugation and inversion.
     """
-    G = triple.group
-    classes = G.conjugacy_classes()
+    mask = sigma_class_indices(triple)
     out: set[Permutation] = set()
-    for ci in sigma_class_indices(triple):
-        out.update(classes[ci].elements)
+    for ci, cls in enumerate(triple.group.conjugacy_classes()):
+        if mask >> ci & 1:
+            out.update(cls.elements)
     return frozenset(out)
 
 
-def sigma_class_indices(triple: SphericalTriple) -> frozenset[int]:
-    """Conjugacy classes (by index) covered by the stabilizer set."""
+def sigma_class_indices(triple: SphericalTriple) -> int:
+    """Bitmask of the conjugacy classes covered by the stabilizer set.
+
+    Bit ``i`` is set iff class ``i`` (in ``G.conjugacy_classes()`` order)
+    lies in Sigma; bit 0, the identity class, is always set.  Two stabilizer
+    sets meet only in the identity iff the AND of their masks is 1.
+    """
     G = triple.group
     return (
         G.power_class_signature(triple.a)
@@ -255,31 +260,15 @@ def triples_equivalent(
 
 
 def branch_permutation_orbit(t: SphericalTriple) -> list[SphericalTriple]:
-    """The six triples obtained by reordering the three branch points.
+    """The triples obtained by reordering the three branch points.
 
-    Generated by the rotation ``(a, b, c) -> (b, c, a)`` and the reversal
-    ``(a, b, c) -> (c^-1, b^-1, a^-1)``, both of which preserve the
-    product-one and generation conditions.
+    These are the three rotations of ``(a, b, c)`` and their reversals
+    ``(x, y, z) -> (z^-1, y^-1, x^-1)``, all of which preserve the
+    product-one and generation conditions; coinciding triples are listed
+    once, in key order.
     """
-    def rot(x: SphericalTriple) -> SphericalTriple:
-        return SphericalTriple(x.group, x.b, x.c, x.a, _check=False)
-
-    def rev(x: SphericalTriple) -> SphericalTriple:
-        return SphericalTriple(
-            x.group,
-            x.c.inverse(),
-            x.b.inverse(),
-            x.a.inverse(),
-            _check=False,
-        )
-
-    orbit: dict[tuple, SphericalTriple] = {}
-    frontier = [t]
-    while frontier:
-        x = frontier.pop()
-        if x.key() in orbit:
-            continue
-        orbit[x.key()] = x
-        frontier.append(rot(x))
-        frontier.append(rev(x))
-    return [orbit[k] for k in sorted(orbit)]
+    G, a, b, c = t.group, t.a, t.b, t.c
+    ai, bi, ci = a.inverse(), b.inverse(), c.inverse()
+    images = [(a, b, c), (b, c, a), (c, a, b), (ci, bi, ai), (ai, ci, bi), (bi, ai, ci)]
+    orbit = {u.key(): u for u in (SphericalTriple(G, *x, _check=False) for x in images)}
+    return sorted(orbit.values(), key=SphericalTriple.key)

@@ -132,7 +132,6 @@ class TestSearch:
         results = search(G)
         keys = [s.key() for s in results]
         assert keys == sorted(set(keys))
-        identity_class = G.class_index_of(G.identity)
         sizes = Counter(
             sigma_class_indices(t) for t in enumerate_triples(G, hyperbolic_only=True)
         )
@@ -140,7 +139,7 @@ class TestSearch:
             n1 * n2
             for sig1, n1 in sizes.items()
             for sig2, n2 in sizes.items()
-            if sig1 & sig2 == {identity_class}
+            if sig1 & sig2 == 1
         )
         assert len(G._inner) == 120
         assert len(results) * len(G._inner) == admissible
@@ -160,13 +159,12 @@ class TestSearch:
             triples = enumerate_triples(G, hyperbolic_only=True)
             sigs = [sigma_class_indices(t) for t in triples]
             reps = {cls.representative for cls in G.conjugacy_classes()}
-            identity_class = G.class_index_of(G.identity)
             t1, t2 = next(
                 (t1, t2)
                 for t1, sig1 in zip(triples, sigs)
                 if t1.a in reps
                 for t2, sig2 in zip(triples, sigs)
-                if sig1 & sig2 == {identity_class}
+                if sig1 & sig2 == 1
             )
             expected = naive_canonical_pair(
                 G, (t1.a, t1.b, t1.c), (t2.a, t2.b, t2.c)
@@ -219,6 +217,16 @@ class TestScan:
         assert rows[1].error == "injected failure"
         assert not rows[1].beauville
         assert rows[2].beauville  # the scan kept going
+
+    def test_row_dict_names_the_error_only_when_there_is_one(self):
+        from surfmoduli.beauville import ScanRow
+
+        keys = ["group", "order", "beauville", "structures_found", "elapsed_ms"]
+        ok = ScanRow("EA5x5", 25, True, 1, 3).as_dict()
+        assert list(ok) == keys
+        assert list(ok.values()) == ["EA5x5", 25, True, 1, 3]
+        bad = ScanRow("C6", 6, False, 0, 2, "injected failure").as_dict()
+        assert list(bad) == keys + ["error"] and bad["error"] == "injected failure"
 
 
 class TestInvariants:

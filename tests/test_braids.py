@@ -50,6 +50,12 @@ def random_factorization(rng, strands, max_factors=4, max_len=4):
     )
 
 
+def node_pair_of(u):
+    """The factorization (u s1^2 u^-1, u s1^-2 u^-1)."""
+    n, ui = u.strands, u.inverse()
+    return Factorization(n, [u * W(n, [1, 1]) * ui, u * W(n, [-1, -1]) * ui])
+
+
 def factorwise_equal(f, g):
     return len(f) == len(g) and all(
         braid_equal(a, b) for a, b in zip(f.factors, g.factors)
@@ -308,6 +314,16 @@ class TestNodePairs:
         with pytest.raises(CancelMismatch):
             node_pair_move(f, 1, BraidWord.identity(2), "cancel")
 
+    def test_cancel_check_takes_the_cap(self, monkeypatch):
+        # the images of the node pair of u = (s1 s2^-1)^2 pass 20 letters
+        monkeypatch.setattr(braids, "WORD_CAP", 20)
+        f = node_pair_of(W(3, [1, -2, 1, -2]))
+        e = BraidWord.identity(3)
+        with pytest.raises(BudgetExceeded, match=r"WORD_CAP = 20 letters"):
+            node_pair_move(f, 1, e, "cancel")
+        with pytest.raises(CancelMismatch):
+            node_pair_move(f, 1, e, "cancel", cap=10**4)
+
 
 class TestOrbits:
     def test_sigma1_sigma1_in_b2(self):
@@ -344,6 +360,12 @@ class TestOrbits:
             fwd = hurwitz_orbit(f, budget=500)
             rev = hurwitz_orbit(f, budget=500, reverse_moves=True)
             assert fwd.keys == rev.keys
+
+    def test_m_equivalence_orbit_passes_its_cap_to_cancellation(self, monkeypatch):
+        monkeypatch.setattr(braids, "WORD_CAP", 20)
+        f = node_pair_of(W(3, [1, -2, 1, -2]))
+        orbit = m_equivalence_orbit(f, budget=5, cap=10**4)
+        assert len(orbit) == 5
 
     def test_m_equivalence_orbit_bounded(self):
         f = Factorization.from_ints(2, [[1]])

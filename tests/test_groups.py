@@ -110,6 +110,33 @@ class TestConjugacyClasses:
             )
 
 
+class TestClassMasks:
+    def test_power_signature_bits_name_the_classes_meeting_the_powers(
+        self, small_catalog
+    ):
+        for name in ("S4", "D5", "A4", "EA3x3", "C12"):
+            G = small_catalog[name]
+            classes = [frozenset(c.elements) for c in G.conjugacy_classes()]
+            naive = naive_conjugacy_partition(G)
+            for g in G.elements:
+                powers, p = {g}, g
+                while not p.is_identity():
+                    p = p * g
+                    powers.add(p)
+                mask = G.power_class_signature(g)
+                assert mask >> len(classes) == 0
+                named = {classes[i] for i in range(len(classes)) if mask >> i & 1}
+                assert named == {c for c in naive if c & powers}, (name, g)
+
+    def test_lazy_facts_are_not_built_with_the_group(self):
+        G = catalog.builtin("A6")
+        facts = ("_class_of", "_power_masks", "_classes", "_inner", "_automorphisms")
+        for fact in facts:
+            assert fact not in G.__dict__, fact
+        G.power_class_signature(G.generators[0])
+        assert "_class_of" in G.__dict__ and "_power_masks" in G.__dict__
+
+
 class TestGenerates:
     def test_s4_examples(self, small_catalog):
         G = small_catalog["S4"]
@@ -162,6 +189,26 @@ class TestIsSimple:
                 # count; abelian groups are covered by the prime test below
                 continue
             assert G.is_simple() == naive_is_simple(G), name
+
+    def test_normal_closure_size_is_the_least_normal_class_union(self, small_catalog):
+        groups = [small_catalog[n] for n in ("S4", "D5", "A4", "C12")]
+        for G in groups + [catalog.builtin("D4xC2")]:
+            classes = naive_conjugacy_partition(G)
+            identity_cls = next(c for c in classes if G.identity in c)
+            others = [c for c in classes if c is not identity_cls]
+            normal = []
+            for r in range(len(others) + 1):
+                for combo in itertools.combinations(others, r):
+                    subset = identity_cls.union(*combo)
+                    if all(x * y in subset for x in subset for y in subset):
+                        normal.append(subset)
+            for g in G.elements:
+                least = min(len(n) for n in normal if g in n)
+                assert G.normal_closure_size(g) == least, (G, g)
+
+    def test_normal_closure_of_a_non_member_is_rejected(self, small_catalog):
+        with pytest.raises(ValueError, match="is not an element of"):
+            small_catalog["A4"].normal_closure_size(Permutation.from_cycles(4, [1, 2]))
 
     def test_abelian_simple_iff_prime_order(self, small_catalog):
         primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59}
@@ -279,6 +326,33 @@ class TestGroupMap:
                     continue
                 assert respects, (name, images)
                 assert all(m(x) == f[x] for x in G.elements), (name, images)
+
+    def test_inverse_undoes_the_map(self, small_catalog):
+        outside = {
+            "S4": Permutation.identity(5),
+            "EA3x3": Permutation.from_cycles(6, [1, 2]),
+        }
+        for name, x in outside.items():
+            G = small_catalog[name]
+            assert x not in G
+            for a in G.automorphisms():
+                back = a.inverse()
+                assert back.source is G and back.target is G
+                for g in G.elements:
+                    assert back.compose(a)(g) == g
+                    assert a.compose(back)(g) == g
+                with pytest.raises(ValueError):
+                    a(x)
+                with pytest.raises(ValueError):
+                    back(x)
+
+    def test_map_between_groups_reads_the_source(self, small_catalog):
+        C6, C2 = small_catalog["C6"], small_catalog["C2"]
+        m = GroupMap(C6, C2, [C2.generators[0]])
+        g = C6.generators[0]
+        assert [m(g**k) for k in range(6)] == [C2.generators[0] ** k for k in range(6)]
+        with pytest.raises(ValueError):
+            m(C2.generators[0])
 
     def test_mapping_respects_products(self, small_catalog):
         G = small_catalog["S3"]

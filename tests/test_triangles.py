@@ -14,6 +14,7 @@ from surfmoduli.triangles import (
     enumerate_triples,
     genus,
     is_hyperbolic,
+    sigma_class_indices,
     sigma_set,
     triples_equivalent,
 )
@@ -157,6 +158,19 @@ class TestSigma:
             for t in enumerate_triples(G)[:40]:
                 assert sigma_set(t) == naive_sigma(G, (t.a, t.b, t.c))
 
+    def test_class_mask_expands_to_naive_sigma(self, small_catalog):
+        for name in ("S4", "D5", "EA3x3", "C12"):
+            G = small_catalog[name]
+            classes = G.conjugacy_classes()
+            for t in enumerate_triples(G)[:40]:
+                mask = sigma_class_indices(t)
+                assert mask & 1
+                expanded = set()
+                for i, cls in enumerate(classes):
+                    if mask >> i & 1:
+                        expanded |= cls.elements
+                assert expanded == naive_sigma(G, (t.a, t.b, t.c))
+
     def test_closed_under_conjugation_and_inversion(self, small_catalog):
         G = small_catalog["S4"]
         t = enumerate_triples(G)[0]
@@ -223,3 +237,33 @@ def test_branch_permutation_orbit_members_are_valid(small_catalog):
     for x in orbit:
         assert (x.a * x.b * x.c).is_identity()
         assert G.generates([x.a, x.b])
+
+
+def _inverse_images(images):
+    out = [0] * len(images)
+    for i, j in enumerate(images):
+        out[j - 1] = i + 1
+    return tuple(out)
+
+
+def _six_images(key):
+    """The rotations of (a, b, c) and their reversals, on image tuples."""
+    def rot(t):
+        return (t[1], t[2], t[0])
+
+    def rev(t):
+        return tuple(_inverse_images(x) for x in reversed(t))
+
+    rotations = [key, rot(key), rot(rot(key))]
+    return rotations + [rev(t) for t in rotations]
+
+
+def test_branch_permutation_orbit_lists_the_six_images(small_catalog):
+    for name in ("S4", "A4"):
+        G = small_catalog[name]
+        triples = enumerate_triples(G)
+        assert triples
+        for t in triples:
+            orbit = branch_permutation_orbit(t)
+            assert all(x.group is G for x in orbit)
+            assert [x.key() for x in orbit] == sorted(set(_six_images(t.key())))
