@@ -31,6 +31,7 @@ components of their moduli space.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -271,19 +272,32 @@ def enumerate_types(
 
     ``ksq`` is compared in the pullback convention unless
     ``paper_convention`` is set.  Types with d = b are additionally grouped
-    into diffeomorphism classes by their (b, a+c) invariant.  Each (a, b, c)
-    admits at most one d, solved from the printed ksq (a+c-2)(b+d-2).
+    into diffeomorphism classes by their (b, a+c) invariant.
+
+    The printed ksq is s t with s = a+c-2 and t = b+d-2, so s runs over
+    its divisors.  With x = a-1, y = b-1 and R = chi-1-(s+1)(t+1), chi
+    reads (2x-s)(2y-t) = 2R-st, which gives b from a unless a = c; then
+    every b fits when 2R = st.  The time does not grow with ``bound``.
     """
     printed, rem = (ksq, 0) if paper_convention else divmod(ksq, 8)
+    root = math.isqrt(printed) if rem == 0 and printed > 0 else 0
+    small = [s for s in range(1, root + 1) if printed % s == 0]
     matches = []
-    if rem == 0:
-        for a in range(3, bound + 1):
-            for b in range(3, bound + 1):
-                for c in range(3, bound + 1):
-                    t, r = divmod(printed, a + c - 2)  # t = b + d - 2
-                    d = t + 2 - b
-                    if r == 0 and 3 <= d <= bound and _chi(a, b, c, d) == chi:
-                        matches.append(BidoubleType(a, b, c, d))
+    for s in {*small, *(printed // s for s in small)}:
+        t = printed // s
+        rhs = 2 * (chi - 1 - (s + 1) * (t + 1)) - s * t
+        bs = range(max(3, t + 2 - bound), min(bound, t - 1) + 1)  # b, d in [3, bound]
+        for a in range(max(3, s + 2 - bound), min(bound, s - 1) + 1):
+            u = 2 * a - 2 - s  # 2x - s, zero iff a = c
+            if u == 0:
+                found = bs if rhs == 0 else ()
+            else:
+                y2, r = divmod(rhs, u)  # y2 = 2y - t, so b = (y2 + t) / 2 + 1
+                found = () if r or (y2 + t) % 2 else [(y2 + t) // 2 + 1]
+            matches += [
+                BidoubleType(a, b, s + 2 - a, t + 2 - b) for b in found if b in bs
+            ]
+    matches.sort(key=lambda m: (m.a, m.b, m.c))
     classes: dict[tuple[int, int], list[BidoubleType]] = {}
     for t in matches:
         if t.d == t.b:

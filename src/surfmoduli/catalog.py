@@ -22,14 +22,31 @@ import re
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
+from . import groups as _groups
+from .errors import OrderBoundExceeded
 from .groups import Permutation, PermGroup, close
 
 _PSL_MAX = 31
 
 
+def _refuse_above_bound(name: str, factors: Iterable[int]) -> None:
+    """Raise before building ``name`` if its order, the product of
+    ``factors``, exceeds ``ORDER_BOUND``.  The product stops at the first
+    partial product above the cap, so this stays cheap for S1000000."""
+    order, bound = 1, _groups.ORDER_BOUND
+    for f in factors:
+        order *= f
+        if order > bound:
+            raise OrderBoundExceeded(
+                f"{name}: order exceeds ORDER_BOUND = {bound};"
+                " set surfmoduli.groups.ORDER_BOUND = N to raise it"
+            )
+
+
 def cyclic(n: int) -> PermGroup:
     if n < 1:
         raise ValueError("cyclic group order must be positive")
+    _refuse_above_bound(f"C{n}", [n])
     if n == 1:
         return close([Permutation.identity(1)], name="C1")
     gen = Permutation.from_cycles(n, list(range(1, n + 1)))
@@ -40,6 +57,7 @@ def dihedral(n: int) -> PermGroup:
     """Symmetries of the regular n-gon (order 2n), n >= 3."""
     if n < 3:
         raise ValueError("dihedral groups need n >= 3 here")
+    _refuse_above_bound(f"D{n}", [2, n])
     rot = Permutation.from_cycles(n, list(range(1, n + 1)))
     refl = Permutation([1] + list(range(n, 1, -1)))
     return close([rot, refl], name=f"D{n}")
@@ -48,6 +66,7 @@ def dihedral(n: int) -> PermGroup:
 def symmetric(n: int) -> PermGroup:
     if n < 1:
         raise ValueError("symmetric group degree must be positive")
+    _refuse_above_bound(f"S{n}", range(2, n + 1))
     if n == 1:
         return close([Permutation.identity(1)], name="S1")
     cycle = Permutation.from_cycles(n, list(range(1, n + 1)))
@@ -58,6 +77,7 @@ def symmetric(n: int) -> PermGroup:
 def alternating(n: int) -> PermGroup:
     if n < 3:
         raise ValueError("alternating groups need n >= 3 here")
+    _refuse_above_bound(f"A{n}", range(3, n + 1))  # n!/2
     three = Permutation.from_cycles(n, [1, 2, 3])
     if n == 3:
         gens = [three]
@@ -72,6 +92,7 @@ def elementary_abelian(p: int) -> PermGroup:
     """(Z/p)^2 as two disjoint p-cycles on 2p points."""
     if p < 2:
         raise ValueError("need p >= 2")
+    _refuse_above_bound(f"EA{p}x{p}", [p, p])
     x = Permutation.from_cycles(2 * p, list(range(1, p + 1)))
     y = Permutation.from_cycles(2 * p, list(range(p + 1, 2 * p + 1)))
     return close([x, y], name=f"EA{p}x{p}")
@@ -111,6 +132,9 @@ def direct_product(*groups: PermGroup, name: Optional[str] = None) -> PermGroup:
     """Direct product, factors acting on disjoint blocks of points."""
     if not groups:
         raise ValueError("need at least one factor")
+    if name is None:
+        name = "x".join(g.name or "?" for g in groups)
+    _refuse_above_bound(name, [g.order for g in groups])
     degree = sum(g.degree for g in groups)
     gens = []
     offset = 0
@@ -121,8 +145,6 @@ def direct_product(*groups: PermGroup, name: Optional[str] = None) -> PermGroup:
                 images[offset + i] = offset + j
             gens.append(Permutation(images))
         offset += g.degree
-    if name is None:
-        name = "x".join(g.name or "?" for g in groups)
     return close(gens, name=name)
 
 
@@ -162,7 +184,10 @@ def builtin(name: str) -> PermGroup:
 def from_file(path: Union[str, Path]) -> PermGroup:
     """Read a group from the plain-text file format."""
     path = Path(path)
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     degree = None
     gens = []
     for lineno, raw in enumerate(lines, start=1):
@@ -203,7 +228,11 @@ def resolve(ref: str) -> PermGroup:
     try:
         return builtin(ref)
     except ValueError:
-        if Path(ref).is_file():
+        try:
+            is_file = Path(ref).is_file()
+        except OSError:  # e.g. a name too long for the file system
+            is_file = False
+        if is_file:
             return from_file(ref)
         raise ValueError(f"{ref!r} is neither a builtin group name nor a file")
 

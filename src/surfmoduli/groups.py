@@ -162,39 +162,30 @@ class ConjugacyClass:
         return f"ConjugacyClass({self.representative!r}, size={len(self.elements)})"
 
 
-def _mulclose(generators: Sequence[Permutation], bound: int = ORDER_BOUND):
+def _mulclose(generators: Sequence[Permutation], bound: int):
     """Breadth-first closure of ``generators`` under right multiplication.
 
-    Returns ``(elements, index, cayley)`` where ``elements`` is in
-    deterministic BFS order starting from the identity and ``cayley[i][k]``
-    is the index of ``elements[i] * generators[k]``: the Cayley graph,
-    recorded from the products the closure makes anyway.
+    Returns ``(elements, index)`` where ``elements`` is in deterministic
+    BFS order starting from the identity and ``index`` maps each element
+    to its position.
     """
     degree = generators[0].degree
     identity = Permutation.identity(degree)
     elements = [identity]
     index = {identity: 0}
-    cayley: list[list[int]] = []
-    frontier = 0
-    while frontier < len(elements):
-        x = elements[frontier]
-        row = []
+    for x in elements:
         for g in generators:
             y = x * g
-            j = index.get(y)
-            if j is None:
+            if y not in index:
                 if len(elements) >= bound:
                     name = "ORDER_BOUND" if bound == ORDER_BOUND else "bound"
                     raise OrderBoundExceeded(
                         f"closure exceeded {name} = {bound} elements;"
                         " pass bound=N to close() to raise it"
                     )
-                j = index[y] = len(elements)
+                index[y] = len(elements)
                 elements.append(y)
-            row.append(j)
-        cayley.append(row)
-        frontier += 1
-    return elements, index, cayley
+    return elements, index
 
 
 class PermGroup:
@@ -202,10 +193,8 @@ class PermGroup:
 
     Construct with :func:`close` or the builders in
     :mod:`surfmoduli.catalog`.  ``elements`` is a tuple in a deterministic
-    breadth-first order with the identity first.  The group keeps the
-    Cayley graph its closure recorded (``_cayley[i][k]`` is the index of
-    ``elements[i] * generators[k]``), along which generator assignments
-    are extended to homomorphisms.  Groups compare by object identity.
+    breadth-first order with the identity first.  Groups compare by object
+    identity.
     """
 
     def __init__(
@@ -214,14 +203,12 @@ class PermGroup:
         generators: Sequence[Permutation],
         elements: Sequence[Permutation],
         index: dict[Permutation, int],
-        cayley: Sequence[Sequence[int]],
         name: Optional[str] = None,
     ):
         self.degree = degree
         self.generators = tuple(generators)
         self.elements = tuple(elements)
         self._index = index
-        self._cayley = tuple(cayley)
         self.name = name
         self._cyclic_cache: dict[int, frozenset[int]] = {}
 
@@ -346,7 +333,7 @@ class PermGroup:
             self.index_of(g)
         if not elems:
             return self.order == 1
-        sub, _, _ = _mulclose(list(elems), bound=self.order + 1)
+        sub, _ = _mulclose(list(elems), bound=self.order + 1)
         return len(sub) == self.order
 
     def generates_pair(self, a: Permutation, b: Permutation) -> bool:
@@ -360,7 +347,7 @@ class PermGroup:
             ca = self.cyclic_subgroup_indices(a)
             cb = self.cyclic_subgroup_indices(b)
             return len(ca) * len(cb) == self.order * len(ca & cb)
-        sub, _, _ = _mulclose([a, b], bound=self.order + 1)
+        sub, _ = _mulclose([a, b], bound=self.order + 1)
         return len(sub) == self.order
 
     def normal_closure_size(self, g: Permutation) -> int:
@@ -407,27 +394,36 @@ class PermGroup:
             out.setdefault(tuple(g.conjugated_by(h).images for g in gens), h)
         return out
 
+    @cached_property
+    def _cayley(self) -> tuple[list[int], ...]:
+        """Cayley graph: row i holds the indices of ``elements[i] * g``, g
+        running over the generators.  Homomorphisms are extended along it.
+        """
+        index, gens = self._index, self.generators
+        return tuple([index[x * g] for g in gens] for x in self.elements)
+
     def _extend_generator_images(
         self, target: "PermGroup", images: Sequence[Permutation]
-    ) -> Optional[list[Permutation]]:
+    ) -> Optional[list[int]]:
         """Extend a generator assignment along the Cayley graph.
 
         One pass over the edges ``x -> x * g`` in breadth-first order: the
         first edge into an element sets its image, and every later edge
-        must agree with it.  Returns the element-by-element image list when
-        the assignment respects every product, else ``None``.
+        must agree with it.  Returns the target element index of each
+        element's image when the assignment respects every product, else
+        ``None``.
         """
-        full: list[Optional[Permutation]] = [None] * self.order
-        full[0] = target.identity
+        index, elements = target._index, target.elements
+        full = [0] + [-1] * (self.order - 1)
         for i, row in enumerate(self._cayley):
-            fx = full[i]
+            fx = elements[full[i]]
             for j, t in zip(row, images):
-                y = fx * t
-                if full[j] is None:
+                y = index[fx * t]
+                if full[j] < 0:
                     full[j] = y
                 elif full[j] != y:
                     return None
-        return full  # type: ignore[return-value]
+        return full
 
     def automorphisms(self) -> list["GroupMap"]:
         """All automorphisms, by backtracking over generator images.
@@ -497,15 +493,13 @@ class GroupMap:
         source: PermGroup,
         target: PermGroup,
         images: Sequence[Permutation],
-        _full_images: Optional[list[Permutation]] = None,
+        _full_images: Optional[list[int]] = None,
     ):
         if len(images) != len(source.generators):
             raise ValueError("one image per source generator is required")
-        for t in images:
-            target.index_of(t)
         self.source = source
         self.target = target
-        self.images = tuple(images)
+        self.images = tuple(target.elements[target.index_of(t)] for t in images)
         if _full_images is None:
             _full_images = source._extend_generator_images(target, self.images)
             if _full_images is None:
@@ -516,7 +510,7 @@ class GroupMap:
 
     def __call__(self, g: Permutation) -> Permutation:
         try:
-            return self._full[self.source._index[g]]
+            return self.target.elements[self._full[self.source._index[g]]]
         except KeyError:
             raise ValueError(f"{g!r} is not in the source group") from None
 
@@ -548,8 +542,8 @@ class GroupMap:
     def inverse(self) -> "GroupMap":
         if not self.is_bijective:
             raise ValueError("only bijective maps can be inverted")
-        elements, full = self.source.elements, self._full
-        back = [elements[full.index(g)] for g in self.target.generators]
+        elements, full, index = self.source.elements, self._full, self.target._index
+        back = [elements[full.index(index[g])] for g in self.target.generators]
         return GroupMap(self.target, self.source, back)
 
     def __eq__(self, other) -> bool:
@@ -571,12 +565,13 @@ class GroupMap:
 def close(
     generators: Sequence[Permutation],
     name: Optional[str] = None,
-    bound: int = ORDER_BOUND,
+    bound: Optional[int] = None,
 ) -> PermGroup:
     """Materialize the group generated by ``generators``.
 
     All generators must share one degree (:class:`DegreeMismatch`), and
-    the closure must stay within ``bound`` (:class:`OrderBoundExceeded`).
+    the closure must stay within ``bound`` (:class:`OrderBoundExceeded`),
+    by default the module's ``ORDER_BOUND`` at call time.
     """
     generators = list(generators)
     if not generators:
@@ -587,5 +582,5 @@ def close(
             raise DegreeMismatch(
                 f"generator degrees differ: {degree} vs {g.degree}"
             )
-    elements, index, cayley = _mulclose(generators, bound=bound)
-    return PermGroup(degree, generators, elements, index, cayley, name=name)
+    elements, index = _mulclose(generators, ORDER_BOUND if bound is None else bound)
+    return PermGroup(degree, generators, elements, index, name=name)

@@ -58,10 +58,11 @@ class SphericalTriple:
     """An ordered generating triple ``(a, b, c)`` with ``a b c = 1``.
 
     The three branch points are ordered; permuting the entries gives a
-    different triple.  Instances are immutable.
+    different triple.  Instances are immutable; their entries are the
+    group's own element objects.
     """
 
-    __slots__ = ("group", "a", "b", "c", "_hash")
+    __slots__ = ("group", "a", "b", "c")
 
     def __init__(
         self,
@@ -72,8 +73,7 @@ class SphericalTriple:
         _check: bool = True,
     ):
         if _check:
-            for g in (a, b, c):
-                group.index_of(g)
+            a, b, c = (group.elements[group.index_of(g)] for g in (a, b, c))
             if not (a * b * c).is_identity():
                 raise ValueError("a * b * c is not the identity")
             if not group.generates([a, b]):
@@ -82,7 +82,6 @@ class SphericalTriple:
         self.a = a
         self.b = b
         self.c = c
-        self._hash = hash((id(group), a, b, c))
 
     @property
     def triple_type(self) -> TripleType:
@@ -93,13 +92,10 @@ class SphericalTriple:
         )
 
     def conjugated_by(self, h: Permutation) -> "SphericalTriple":
-        return SphericalTriple(
-            self.group,
-            self.a.conjugated_by(h),
-            self.b.conjugated_by(h),
-            self.c.conjugated_by(h),
-            _check=False,
-        )
+        """The triple ``h t h^-1``; ``ValueError`` if an entry leaves the group."""
+        G, entries = self.group, (self.a, self.b, self.c)
+        a, b, c = (G.elements[G.index_of(x.conjugated_by(h))] for x in entries)
+        return SphericalTriple(G, a, b, c, _check=False)
 
     def key(self) -> tuple:
         """Deterministic sort and identity key (the three image tuples)."""
@@ -115,7 +111,7 @@ class SphericalTriple:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((id(self.group), self.a, self.b, self.c))
 
     def __repr__(self) -> str:
         return f"SphericalTriple({self.a!r}, {self.b!r}, {self.c!r})"
@@ -202,7 +198,7 @@ def enumerate_triples(
     of the first entry, then by element index of the first and second
     entries.
     """
-    index = G._index
+    elements, index = G.elements, G._index
     others = list(G._inner.values())[1:]  # centre transversal minus identity
     full = []
     for cls in G.conjugacy_classes():
@@ -217,7 +213,8 @@ def enumerate_triples(
                 marked[index[b.conjugated_by(h)]] = True
             if not G.generates_pair(r, b):
                 continue
-            t = SphericalTriple(G, r, b, (r * b).inverse(), _check=False)
+            c = elements[index[(r * b).inverse()]]
+            t = SphericalTriple(G, r, b, c, _check=False)
             if triple_type is not None and t.triple_type != triple_type:
                 continue
             if hyperbolic_only and not is_hyperbolic(t):
@@ -268,7 +265,7 @@ def branch_permutation_orbit(t: SphericalTriple) -> list[SphericalTriple]:
     once, in key order.
     """
     G, a, b, c = t.group, t.a, t.b, t.c
-    ai, bi, ci = a.inverse(), b.inverse(), c.inverse()
+    ai, bi, ci = (G.elements[G.index_of(x.inverse())] for x in (a, b, c))
     images = [(a, b, c), (b, c, a), (c, a, b), (ci, bi, ai), (ai, ci, bi), (bi, ai, ci)]
     orbit = {u.key(): u for u in (SphericalTriple(G, *x, _check=False) for x in images)}
     return sorted(orbit.values(), key=SphericalTriple.key)

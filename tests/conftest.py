@@ -122,3 +122,20 @@ def small_catalog():
         "EA3x3": catalog.elementary_abelian(3),
         "EA5x5": catalog.elementary_abelian(5),
     }
+
+
+@pytest.fixture
+def no_large_closure(monkeypatch):
+    """Make a builtin that would close a group of degree above 1000 fail at
+    once: such a closure holds order x degree entries, and a builtin that
+    misses its order check would exhaust memory instead of failing."""
+    from surfmoduli import catalog
+
+    close = catalog.close
+
+    def guarded(generators, name=None, bound=None):
+        generators = list(generators)
+        assert generators[0].degree <= 1000, f"{name} reached the closure"
+        return close(generators, name=name, bound=bound)
+
+    monkeypatch.setattr(catalog, "close", guarded)

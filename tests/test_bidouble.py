@@ -1,6 +1,7 @@
 """Bidouble/abc invariants, diffeomorphism chains, non-deformation tests."""
 
 import itertools
+import time
 
 import pytest
 
@@ -24,6 +25,10 @@ def direct_image_chi(a, b, c, d):
     for p, q in ((0, 0), (a, b), (c, d), (a + c, b + d)):
         total += 1 if (p, q) == (0, 0) else (p - 1) * (q - 1)
     return total
+
+
+def _printed(a, b, c, d):
+    return (a + c - 2) * (b + d - 2)
 
 
 class TestTypes:
@@ -279,3 +284,37 @@ class TestEnumerateTypes:
             enumerate_types(chi, ksq, bound, paper_convention=paper).types
             for chi, ksq in targets
         )
+
+    def test_time_does_not_grow_with_the_bound(self):
+        # (chi, ksq) of types with small and large entries; a bound of the
+        # printed ksq already admits every entry, since a < a + c - 2
+        targets = [(10, 80)]
+        for t in ((3, 3, 3, 3), (3, 4, 5, 6), (7, 3, 12, 40), (30, 9, 4, 61)):
+            targets.append((direct_image_chi(*t), 8 * _printed(*t)))
+        started = time.perf_counter()
+        for chi, ksq in targets:
+            huge = enumerate_types(chi, ksq, 10**8)
+            assert huge.types == enumerate_types(chi, ksq, ksq // 8).types
+            for t in huge.types:
+                assert direct_image_chi(t.a, t.b, t.c, t.d) == chi
+                assert 8 * _printed(t.a, t.b, t.c, t.d) == ksq
+        assert time.perf_counter() - started < 1
+        assert enumerate_types(*targets[3], 10**8).types
+
+    def test_a_equal_to_c_admits_every_b(self):
+        # with a = c, chi depends on b only through b + d, so every split
+        # of b + d inside the bound matches
+        bound = 10
+        for t in ((4, 5, 4, 7), (3, 3, 3, 9), (6, 4, 6, 4)):
+            chi, ksq = direct_image_chi(*t), 8 * _printed(*t)
+            expected = tuple(
+                BidoubleType(a, b, c, d)
+                for a, b, c, d in itertools.product(range(3, bound + 1), repeat=4)
+                if direct_image_chi(a, b, c, d) == chi
+                and 8 * _printed(a, b, c, d) == ksq
+            )
+            got = enumerate_types(chi, ksq, bound).types
+            assert got == expected
+            splits = [b for b in range(3, bound + 1) if 3 <= t[1] + t[3] - b <= bound]
+            assert len(splits) > 1
+            assert [u.b for u in got if (u.a, u.c) == (t[0], t[2])] == splits

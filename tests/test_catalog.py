@@ -1,10 +1,13 @@
 """Built-in constructors, name resolution, and the group file format."""
 
 import re
+import time
 
 import pytest
 
 from surfmoduli import catalog
+from surfmoduli.errors import OrderBoundExceeded
+from surfmoduli.groups import Permutation, close
 
 
 def test_orders_of_builtins():
@@ -93,3 +96,44 @@ def test_abelian_catalog_counts():
     for g in groups:
         assert g.is_abelian
         assert g.order <= 16
+
+
+@pytest.mark.usefixtures("no_large_closure")
+@pytest.mark.parametrize(
+    "name", ["C150000", "D60000", "EA1000x1000", "S1000000", "A1000000", "C400xC400"]
+)
+def test_builtin_above_the_order_bound_is_refused_before_it_is_built(name):
+    started = time.perf_counter()
+    with pytest.raises(
+        OrderBoundExceeded,
+        match=rf"^{name}: order exceeds ORDER_BOUND = 100000; "
+        r"set surfmoduli\.groups\.ORDER_BOUND = N to raise it$",
+    ):
+        catalog.builtin(name)
+    assert time.perf_counter() - started < 0.5
+
+
+def test_order_bound_is_read_at_call_time(monkeypatch):
+    monkeypatch.setattr("surfmoduli.groups.ORDER_BOUND", 10)
+    with pytest.raises(OrderBoundExceeded, match="^S4: order exceeds ORDER_BOUND = 10"):
+        catalog.builtin("S4")
+    s4 = [Permutation.from_cycles(4, [1, 2]), Permutation.from_cycles(4, [1, 2, 3, 4])]
+    with pytest.raises(OrderBoundExceeded, match="^closure exceeded ORDER_BOUND = 10 "):
+        close(s4)
+    with pytest.raises(OrderBoundExceeded, match="^closure exceeded ORDER_BOUND = 10 "):
+        catalog.psl2(7)  # no closed-form check; the closure fires
+    monkeypatch.setattr("surfmoduli.groups.ORDER_BOUND", 24)
+    assert catalog.builtin("S4").order == close(s4).order == 24
+    monkeypatch.setattr("surfmoduli.groups.ORDER_BOUND", 10**7)
+    with pytest.raises(OrderBoundExceeded, match="ORDER_BOUND = 10000000;"):
+        catalog.builtin("S1000000")
+
+
+def test_unreadable_references_fail_in_one_line(tmp_path):
+    for ref in ("x" * 300, "C" + "1" * 5000):  # too long for a file name
+        with pytest.raises(ValueError, match="is neither a builtin group name nor"):
+            catalog.resolve(ref)
+    path = tmp_path / "latin1.grp"
+    path.write_bytes(b"\xff degree 2\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: 'utf-8' codec"):
+        catalog.resolve(str(path))

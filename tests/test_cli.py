@@ -231,3 +231,31 @@ class TestNumberInputs:
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
+
+
+class TestGroupReferences:
+    @pytest.mark.parametrize("name", ["C150000", "D60000", "EA1000x1000", "S1000000",
+                                      "C400xC400"])
+    @pytest.mark.usefixtures("no_large_closure")
+    def test_group_above_the_order_bound_fails_in_one_line(self, capsys, name):
+        code, out, err = run(capsys, "group", "info", "--group", name)
+        assert code == 1 and out == ""
+        assert err == (
+            f"error: {name}: order exceeds ORDER_BOUND = 100000;"
+            " set surfmoduli.groups.ORDER_BOUND = N to raise it\n"
+        )
+
+    @pytest.mark.parametrize("ref", ["x" * 300, "C" + "1" * 5000],
+                             ids=["x300", "C5000"])
+    def test_overlong_reference_is_not_a_file(self, capsys, ref):
+        code, out, err = run(capsys, "group", "info", "--group", ref)
+        assert code == 1 and out == ""
+        assert err == f"error: {ref!r} is neither a builtin group name nor a file\n"
+
+    def test_undecodable_file_is_named(self, capsys, tmp_path):
+        path = tmp_path / "bad.grp"
+        path.write_bytes(b"\xff\n")
+        code, out, err = run(capsys, "group", "info", "--group", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
+        assert len(err.strip().splitlines()) == 1

@@ -130,7 +130,8 @@ class TestClassMasks:
 
     def test_lazy_facts_are_not_built_with_the_group(self):
         G = catalog.builtin("A6")
-        facts = ("_class_of", "_power_masks", "_classes", "_inner", "_automorphisms")
+        facts = ("_class_of", "_power_masks", "_classes", "_inner", "_automorphisms",
+                 "_cayley")
         for fact in facts:
             assert fact not in G.__dict__, fact
         G.power_class_signature(G.generators[0])

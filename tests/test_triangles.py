@@ -5,8 +5,9 @@ import pytest
 from conftest import naive_genus, naive_sigma, naive_triples
 
 from surfmoduli import catalog
+from surfmoduli.beauville import search
 from surfmoduli.errors import GroupMismatch
-from surfmoduli.groups import Permutation
+from surfmoduli.groups import GroupMap, Permutation
 from surfmoduli.triangles import (
     SphericalTriple,
     TripleType,
@@ -267,3 +268,47 @@ def test_branch_permutation_orbit_lists_the_six_images(small_catalog):
             orbit = branch_permutation_orbit(t)
             assert all(x.group is G for x in orbit)
             assert [x.key() for x in orbit] == sorted(set(_six_images(t.key())))
+
+
+class TestOneObjectPerElement:
+    """Triples and maps hold the group's own element objects, not copies."""
+
+    @staticmethod
+    def assert_own(G, *entries):
+        for x in entries:
+            assert x is G.elements[G.index_of(x)], x
+
+    def test_triples_and_map_images_are_the_groups_elements(self, small_catalog):
+        for G in (small_catalog["S4"], small_catalog["D5"], small_catalog["EA5x5"],
+                  catalog.builtin("S5")):
+            triples = enumerate_triples(G)
+            for s in search(G, stop_at_first=True) + search(G)[:50]:
+                triples += [s.t1, s.t2]
+            triples += [u for t in triples[:30] for u in branch_permutation_orbit(t)]
+            t = triples[0]
+            triples.append(
+                SphericalTriple(G, *(Permutation(x.images) for x in (t.a, t.b, t.c)))
+            )
+            for t in triples:
+                self.assert_own(G, t.a, t.b, t.c)
+            for phi in G.automorphisms()[:20]:
+                copy = GroupMap(G, G, [Permutation(x.images) for x in phi.images])
+                self.assert_own(G, *phi.images, *copy.images)
+                self.assert_own(G, *(copy(g) for g in G.elements))
+
+    def test_cayley_graph_is_built_only_for_maps(self):
+        G = catalog.builtin("A6")
+        assert G.generates_pair(*G.generators)
+        assert "_cayley" not in G.__dict__
+        GroupMap(G, G, G.generators)
+        assert "_cayley" in G.__dict__
+
+    def test_conjugating_out_of_the_group_is_rejected(self, small_catalog):
+        G = small_catalog["D5"]  # the rotations and reflections of the pentagon
+        t = enumerate_triples(G)[0]
+        with pytest.raises(ValueError, match="is not an element of <D5"):
+            t.conjugated_by(Permutation.from_cycles(5, [1, 2]))
+        # x -> 2x mod 5 normalises D5, so the conjugate is a triple of D5
+        u = t.conjugated_by(Permutation.from_cycles(5, [2, 3, 5, 4]))
+        self.assert_own(G, u.a, u.b, u.c)
+        assert (u.a * u.b * u.c).is_identity() and G.generates([u.a, u.b])
