@@ -99,22 +99,20 @@ class BidoubleInvariants:
         return out
 
 
-def _chi(a: int, b: int, c: int, d: int) -> int:
-    return 1 + (a - 1) * (b - 1) + (c - 1) * (d - 1) + (a + c - 1) * (b + d - 1)
-
-
-def _ksq_paper(a: int, b: int, c: int, d: int) -> int:
-    return (a + c - 2) * (b + d - 2)
+def _invariants(a: int, b: int, c: int, d: int,
+                below_standard_bound: bool = False) -> BidoubleInvariants:
+    chi = 1 + (a - 1) * (b - 1) + (c - 1) * (d - 1) + (a + c - 1) * (b + d - 1)
+    printed = (a + c - 2) * (b + d - 2)
+    return BidoubleInvariants(
+        invariants=SurfaceInvariants.from_chi_ksq(chi, 8 * printed),
+        ksq_paper=printed,
+        below_standard_bound=below_standard_bound,
+    )
 
 
 def bidouble_invariants(t: BidoubleType) -> BidoubleInvariants:
     """chi, both ksq conventions, and the Noether-derived e and tau."""
-    chi = _chi(t.a, t.b, t.c, t.d)
-    printed = _ksq_paper(t.a, t.b, t.c, t.d)
-    return BidoubleInvariants(
-        invariants=SurfaceInvariants.from_chi_ksq(chi, 8 * printed),
-        ksq_paper=printed,
-    )
+    return _invariants(t.a, t.b, t.c, t.d)
 
 
 def abc_invariants(t: AbcType) -> BidoubleInvariants:
@@ -123,13 +121,7 @@ def abc_invariants(t: AbcType) -> BidoubleInvariants:
     These depend on (a, b, c) only through b and a+c.  Types with an entry
     equal to 2 use the same formulas and carry the sub-bound flag.
     """
-    chi = _chi(t.a, t.b, t.c, t.b)
-    printed = _ksq_paper(t.a, t.b, t.c, t.b)
-    return BidoubleInvariants(
-        invariants=SurfaceInvariants.from_chi_ksq(chi, 8 * printed),
-        ksq_paper=printed,
-        below_standard_bound=t.below_standard_bound,
-    )
+    return _invariants(t.a, t.b, t.c, t.b, t.below_standard_bound)
 
 
 def _step_allowed(s: AbcType) -> bool:
@@ -277,10 +269,13 @@ def enumerate_types(
     The printed ksq is s t with s = a+c-2 and t = b+d-2, so s runs over
     its divisors.  With x = a-1, y = b-1 and R = chi-1-(s+1)(t+1), chi
     reads (2x-s)(2y-t) = 2R-st, which gives b from a unless a = c; then
-    every b fits when 2R = st.  The time does not grow with ``bound``.
+    every b fits when 2R = st.  Trial division stops at min(sqrt(printed),
+    2 bound - 2), as s, t <= 2 bound - 2, and no type fits when
+    printed >= chi - 1, as chi - 1 > (s+1)(t+1) > printed.
     """
     printed, rem = (ksq, 0) if paper_convention else divmod(ksq, 8)
-    root = math.isqrt(printed) if rem == 0 and printed > 0 else 0
+    fits = rem == 0 and 0 < printed < chi - 1
+    root = min(math.isqrt(printed), 2 * bound - 2) if fits else 0
     small = [s for s in range(1, root + 1) if printed % s == 0]
     matches = []
     for s in {*small, *(printed // s for s in small)}:

@@ -370,6 +370,15 @@ def _orbit(
     return OrbitResult(reps, exhausted)
 
 
+def _hurwitz_moves(cur: Factorization) -> list[Factorization]:
+    """Each Hurwitz move, then its inverse, at positions 1, 2, ..."""
+    out = []
+    for i in range(1, len(cur)):
+        out.append(hurwitz_move(cur, i))
+        out.append(hurwitz_move_inverse(cur, i))
+    return out
+
+
 def hurwitz_orbit(
     f: Factorization,
     budget: int = 10_000,
@@ -384,10 +393,7 @@ def hurwitz_orbit(
     to test order independence).
     """
     def moves(cur: Factorization):
-        out = []
-        for i in range(1, len(cur)):
-            out.append(hurwitz_move(cur, i))
-            out.append(hurwitz_move_inverse(cur, i))
+        out = _hurwitz_moves(cur)
         return reversed(out) if reverse_moves else out
 
     return _orbit(f, budget, moves, cap)
@@ -423,10 +429,7 @@ def m_equivalence_orbit(
     ]
 
     def moves(cur: Factorization):
-        out = []
-        for i in range(1, len(cur)):
-            out.append(hurwitz_move(cur, i))
-            out.append(hurwitz_move_inverse(cur, i))
+        out = _hurwitz_moves(cur)
         for g in gens:
             out.append(simultaneous_conjugation(cur, g))
         for u in conjugators:

@@ -500,10 +500,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SurfModuliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (SurfModuliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

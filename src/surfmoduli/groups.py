@@ -210,7 +210,6 @@ class PermGroup:
         self.elements = tuple(elements)
         self._index = index
         self.name = name
-        self._cyclic_cache: dict[int, frozenset[int]] = {}
 
     @property
     def order(self) -> int:
@@ -240,7 +239,7 @@ class PermGroup:
             raise ValueError(f"{g!r} is not an element of {self!r}") from None
 
     def element_order(self, g: Permutation) -> int:
-        return len(self.cyclic_subgroup_indices(g))
+        return self._class_orders[self._class_of[self.index_of(g)]]
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -291,29 +290,30 @@ class PermGroup:
     def class_index_of(self, g: Permutation) -> int:
         return self._class_of[self.index_of(g)]
 
-    def cyclic_subgroup_indices(self, g: Permutation) -> frozenset[int]:
-        """Element indices of the cyclic subgroup generated by ``g``."""
-        i = self.index_of(g)
-        cached = self._cyclic_cache.get(i)
-        if cached is None:
-            idxs = {i}
-            p, j = g, i
-            while j:  # the identity has index 0
-                p = p * g
-                j = self._index[p]
-                idxs.add(j)
-            cached = self._cyclic_cache[i] = frozenset(idxs)
-        return cached
+    def _first_of_each_class(self) -> list[Permutation]:
+        firsts: list[Permutation] = []
+        for g, ci in zip(self.elements, self._class_of):
+            if ci == len(firsts):  # classes are numbered by first element
+                firsts.append(g)
+        return firsts
+
+    @cached_property
+    def _class_orders(self) -> list[int]:
+        """Per class, the order of its elements."""
+        return [g.order() for g in self._first_of_each_class()]
 
     @cached_property
     def _power_masks(self) -> list[int]:
         """Per class, the bitmask of the classes its elements' powers meet."""
-        class_of = self._class_of
-        masks = [0] * (max(class_of) + 1)
-        for g, ci in zip(self.elements, class_of):
-            if not masks[ci]:
-                powers = self.cyclic_subgroup_indices(g)
-                masks[ci] = sum({1 << class_of[j] for j in powers})
+        class_of, index = self._class_of, self._index
+        masks = []
+        for g in self._first_of_each_class():
+            mask, p, j = 1, g, index[g]
+            while j:  # the identity has index 0
+                mask |= 1 << class_of[j]
+                p = p * g
+                j = index[p]
+            masks.append(mask)
         return masks
 
     def power_class_signature(self, g: Permutation) -> int:
@@ -341,12 +341,14 @@ class PermGroup:
 
         For abelian groups the subgroup generated by two elements is the
         product set of their cyclic subgroups, so its size is
-        ``|<a>| * |<b>| / |<a> n <b>|`` and no closure is needed.
+        ``|<a>| * |<b>| / |<a> n <b>|`` and no closure is needed.  Classes
+        are single elements there, so g's power mask has a bit per element of <g>.
         """
         if self.is_abelian:
-            ca = self.cyclic_subgroup_indices(a)
-            cb = self.cyclic_subgroup_indices(b)
-            return len(ca) * len(cb) == self.order * len(ca & cb)
+            masks, class_of = self._power_masks, self._class_of
+            ma = masks[class_of[self.index_of(a)]]
+            mb = masks[class_of[self.index_of(b)]]
+            return ma.bit_count() * mb.bit_count() == self.order * (ma & mb).bit_count()
         sub, _ = _mulclose([a, b], bound=self.order + 1)
         return len(sub) == self.order
 
@@ -445,7 +447,7 @@ class PermGroup:
                 " set surfmoduli.groups.AUT_BOUND = N to raise it"
             )
         gens = self.generators
-        kind = [(self.element_order(c.representative), len(c)) for c in self._classes]
+        kind = list(zip(self._class_orders, map(len, self._classes)))
         candidates = []
         for g in gens:
             want = kind[self.class_index_of(g)]

@@ -138,14 +138,9 @@ class MoebiusMap:
         return MoebiusMap(1, 0, 0, 1)
 
     def __call__(self, p: ProjPoint) -> ProjPoint:
-        if p.is_infinite:
-            if self.c == 0:
-                return ProjPoint.infinity()
-            return ProjPoint(self.a / self.c)
-        den = self.c * p.value + self.d
-        if den == 0:
-            return ProjPoint.infinity()
-        return ProjPoint((self.a * p.value + self.b) / den)
+        n, d = _homogeneous(p)
+        num, den = self.a * n + self.b * d, self.c * n + self.d * d
+        return ProjPoint(None if den == 0 else num / den)
 
     def compose(self, other: "MoebiusMap") -> "MoebiusMap":
         """Matrix product: apply ``other`` first."""
@@ -173,20 +168,16 @@ class MoebiusMap:
 
     @staticmethod
     def to_zero_one_inf(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint) -> "MoebiusMap":
-        """The unique map sending (p1, p2, p3) to (0, 1, inf)."""
+        """The unique map sending (p1, p2, p3) to (0, 1, inf): with
+        det(u, v) = u_n v_d - u_d v_n on :func:`_homogeneous` coordinates,
+        z -> [det(z, p1) det(p2, p3) : det(z, p3) det(p2, p1)], inf included.
+        """
         if len({p1, p2, p3}) != 3:
             raise ValueError("the three points must be distinct")
-        if p1.is_infinite:
-            z2, z3 = p2.value, p3.value
-            return MoebiusMap(0, z2 - z3, 1, -z3)
-        if p2.is_infinite:
-            z1, z3 = p1.value, p3.value
-            return MoebiusMap(1, -z1, 1, -z3)
-        if p3.is_infinite:
-            z1, z2 = p1.value, p2.value
-            return MoebiusMap(1, -z1, 0, z2 - z1)
-        z1, z2, z3 = p1.value, p2.value, p3.value
-        return MoebiusMap(z2 - z3, -z1 * (z2 - z3), z2 - z1, -z3 * (z2 - z1))
+        (n1, d1), (n2, d2), (n3, d3) = map(_homogeneous, (p1, p2, p3))
+        s = n2 * d3 - d2 * n3
+        t = n2 * d1 - d2 * n1
+        return MoebiusMap(d1 * s, -n1 * s, d3 * t, -n3 * t)
 
     @staticmethod
     def through_triples(
@@ -242,9 +233,8 @@ def _fourth_images(cross_ratio: Fraction, targets: list[ProjPoint]):
     [q1, q2, q3 -> 0, 1, inf](z) = ``cross_ratio``, in the coordinates
     :func:`_homogeneous` gives.
 
-    Writing det(u, v) = u_n v_d - u_d v_n, that map is
-    z -> det(z, q1) det(q2, q3) / (det(z, q3) det(q2, q1)), and with
-    cross_ratio = l_n / l_d the vector
+    With det as in :meth:`MoebiusMap.to_zero_one_inf` and
+    cross_ratio = l_n / l_d, the vector
 
         z = l_n det(q2, q1) q3 - l_d det(q2, q3) q1
 

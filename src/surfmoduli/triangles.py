@@ -32,18 +32,6 @@ class TripleType:
             raise ValueError("branching orders must be positive")
         self.orders = orders
 
-    @property
-    def m1(self) -> int:
-        return self.orders[0]
-
-    @property
-    def m2(self) -> int:
-        return self.orders[1]
-
-    @property
-    def m3(self) -> int:
-        return self.orders[2]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, TripleType) and self.orders == other.orders
 

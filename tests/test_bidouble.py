@@ -301,6 +301,14 @@ class TestEnumerateTypes:
         assert time.perf_counter() - started < 1
         assert enumerate_types(*targets[3], 10**8).types
 
+    def test_huge_ksq_is_cut_at_once(self):
+        # s = a+c-2 <= 2 bound - 2 caps the trial division, and
+        # chi - 1 > (a+c-1)(b+d-1) > printed ksq rules out the third target
+        started = time.perf_counter()
+        for chi, bound in ((34, 12), (10**19, 12), (34, 10**9)):
+            assert enumerate_types(chi, 8 * 10**18, bound).types == ()
+        assert time.perf_counter() - started < 1
+
     def test_a_equal_to_c_admits_every_b(self):
         # with a = c, chi depends on b only through b + d, so every split
         # of b + d inside the bound matches

@@ -131,7 +131,7 @@ class TestClassMasks:
     def test_lazy_facts_are_not_built_with_the_group(self):
         G = catalog.builtin("A6")
         facts = ("_class_of", "_power_masks", "_classes", "_inner", "_automorphisms",
-                 "_cayley")
+                 "_cayley", "_class_orders")
         for fact in facts:
             assert fact not in G.__dict__, fact
         G.power_class_signature(G.generators[0])
@@ -152,8 +152,10 @@ class TestGenerates:
         assert G.generates(list(G.elements))
 
     def test_pair_fast_path_matches_closure(self, small_catalog):
-        for name in ("C12", "EA3x3", "C2xC2"):
-            G = small_catalog[name]
+        groups = [small_catalog[name] for name in ("C12", "EA3x3", "C2xC2")]
+        # non-cyclic groups whose cyclic subgroups meet beyond the identity
+        groups += [catalog.builtin(name) for name in ("C4xC2", "C6xC2")]
+        for G in groups:
             for a in G.elements:
                 for b in G.elements:
                     expected = len(naive_mulclose([a, b])) == G.order
@@ -164,11 +166,11 @@ class TestGenerates:
         with pytest.raises(ValueError):
             G.generates([Permutation.from_cycles(5, [1, 2])])
 
-    def test_cyclic_subgroup_size_is_element_order(self, small_catalog):
+    def test_element_order_is_permutation_order(self, small_catalog):
         for name in ("S4", "C12", "D5"):
             G = small_catalog[name]
             for g in G.elements:
-                assert len(G.cyclic_subgroup_indices(g)) == g.order()
+                assert G.element_order(g) == g.order()
 
 
 class TestIsSimple:

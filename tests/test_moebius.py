@@ -1,5 +1,6 @@
 """Branch sets and exact rational Moebius equivalence."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -135,6 +136,55 @@ class TestPointsAndMaps:
         dst = (ProjPoint(5), INF, ProjPoint(-1))
         m = MoebiusMap.through_triples(src, dst)
         assert tuple(m(p) for p in src) == dst
+
+
+class TestInfinityAsAnOrdinaryPoint:
+    POINTS = [ProjPoint(0), ProjPoint(1), ProjPoint(-1), ProjPoint("1/2"), INF]
+    # SHA-256 of the normalised matrices of to_zero_one_inf over every
+    # ordered triple of POINTS, in permutation order; computed before the
+    # map was written in homogeneous coordinates
+    PINNED = "a6b18200eaa63764a97de8e047d4c731930b68650ce70a19e0d3e6cf3b1a0dda"
+
+    def test_to_zero_one_inf_matches_the_cross_ratio(self):
+        triples = list(itertools.permutations(self.POINTS, 3))
+        for position in range(3):
+            assert any(t[position] == INF for t in triples)
+        matrices = []
+        for t in triples:
+            m = MoebiusMap.to_zero_one_inf(*t)
+            for z in self.POINTS:
+                assert m(z) == cross_ratio(*t, z), (t, z)
+            matrices.append([str(x) for row in m.matrix() for x in row])
+        digest = hashlib.sha256(repr(matrices).encode()).hexdigest()
+        assert digest == self.PINNED
+
+    def test_matrices_with_inf_in_each_position(self):
+        half = Fraction(1, 2)
+        pinned = {
+            (INF, ProjPoint(1), ProjPoint(-1)): ((0, 1), (half, half)),
+            (ProjPoint(0), INF, ProjPoint(half)): ((1, 0), (1, -half)),
+            (ProjPoint(half), ProjPoint(-1), INF): ((1, -half), (0, Fraction(-3, 2))),
+        }
+        for t, matrix in pinned.items():
+            assert MoebiusMap.to_zero_one_inf(*t).matrix() == matrix
+
+    def test_repeated_points_are_rejected(self):
+        for p, q in itertools.permutations(self.POINTS, 2):
+            for t in ((p, p, q), (p, q, p), (q, p, p)):
+                with pytest.raises(ValueError):
+                    MoebiusMap.to_zero_one_inf(*t)
+
+    def test_pole_goes_to_inf_and_inf_to_a_over_c(self):
+        rng = random.Random(11)
+        maps = [random_map(rng) for _ in range(40)]
+        maps += [MoebiusMap(2, 3, 0, 5), MoebiusMap(0, 1, 1, 0)]
+        assert any(m.c == 0 for m in maps) and any(m.c != 0 for m in maps)
+        for m in maps:
+            if m.c == 0:
+                assert m(INF) == INF
+            else:
+                assert m(ProjPoint(-m.d / m.c)) == INF
+                assert m(INF) == ProjPoint(m.a / m.c)
 
 
 class TestFamilyBranchSet:
