@@ -13,7 +13,13 @@ The package is organized as:
 * :mod:`surfmoduli.moebius`   rational Moebius equivalence of branch sets
 * :mod:`surfmoduli.braids`    braid words, Hurwitz moves, node pairs, orbits
 * :mod:`surfmoduli.cli`       the ``surfmoduli`` command-line tool
+
+The names of :mod:`~surfmoduli.bidouble`, :mod:`~surfmoduli.moebius` and
+:mod:`~surfmoduli.braids` are resolved on first access (PEP 562), so a
+group search does not pay for importing them.
 """
+
+from importlib import import_module as _import_module
 
 from .beauville import (
     BeauvilleStructure,
@@ -23,33 +29,6 @@ from .beauville import (
     scan,
     search,
     structure_invariants,
-)
-from .bidouble import (
-    AbcType,
-    BidoubleInvariants,
-    BidoubleType,
-    NondefReport,
-    TypeClassification,
-    abc_invariants,
-    bidouble_invariants,
-    diffeo_equivalent,
-    diffeo_step,
-    enumerate_types,
-    nondef_predicate,
-)
-from .braids import (
-    BraidWord,
-    Factorization,
-    OrbitResult,
-    braid_equal,
-    canonical_key,
-    hurwitz_move,
-    hurwitz_move_inverse,
-    hurwitz_orbit,
-    m_equivalence_orbit,
-    node_pair_move,
-    product,
-    simultaneous_conjugation,
 )
 from .catalog import (
     abelian_catalog,
@@ -90,14 +69,6 @@ from .groups import (
     close,
 )
 from .invariants import SurfaceInvariants
-from .moebius import (
-    BranchSet,
-    MoebiusMap,
-    ProjPoint,
-    apply_map,
-    family_branch_set,
-    moebius_equivalent,
-)
 from .triangles import (
     SphericalTriple,
     TripleType,
@@ -110,3 +81,62 @@ from .triangles import (
 )
 
 __version__ = "0.1.0"
+
+_LAZY = {
+    "bidouble": (
+        "AbcType",
+        "BidoubleInvariants",
+        "BidoubleType",
+        "NondefReport",
+        "TypeClassification",
+        "abc_invariants",
+        "bidouble_invariants",
+        "diffeo_equivalent",
+        "diffeo_step",
+        "enumerate_types",
+        "nondef_predicate",
+    ),
+    "braids": (
+        "BraidWord",
+        "Factorization",
+        "OrbitResult",
+        "braid_equal",
+        "canonical_key",
+        "hurwitz_move",
+        "hurwitz_move_inverse",
+        "hurwitz_orbit",
+        "m_equivalence_orbit",
+        "node_pair_move",
+        "product",
+        "simultaneous_conjugation",
+    ),
+    "moebius": (
+        "BranchSet",
+        "MoebiusMap",
+        "ProjPoint",
+        "apply_map",
+        "family_branch_set",
+        "moebius_equivalent",
+    ),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in (module, *names)}
+
+__all__ = sorted(
+    [name for name in globals() if not name.startswith("_")]
+    + list(_HOME)
+)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = _import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_HOME))

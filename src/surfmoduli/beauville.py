@@ -101,9 +101,19 @@ def _least_conjugator(t: SphericalTriple) -> Permutation:
     """The element h of the centre transversal making h t h^-1 least.
 
     h is unique, as Inn(G) acts freely on generating triples; it also makes
-    any pair (t, t2) least, because a pair's key starts with t's key.
+    any pair (t, t2) least, because a pair's key starts with t's key.  The
+    first two entries fix the third, so they alone are compared, read off
+    the conjugation arrays of the group's product table.
     """
-    return min(t.group._inner.values(), key=lambda h: t.conjugated_by(h).key())
+    G = t.group
+    table, index, elements = G._table, G._index, G.elements
+    a, b = index[t.a], index[t.b]
+
+    def key(h: Permutation) -> tuple:
+        conj = table.conjugation(index[h])
+        return (elements[conj[a]].images, elements[conj[b]].images)
+
+    return min(G._inner.values(), key=key)
 
 
 def search(G: PermGroup, stop_at_first: bool = False) -> list[BeauvilleStructure]:

@@ -29,10 +29,12 @@ from .groups import Permutation, PermGroup, close
 _PSL_MAX = 31
 
 
-def _refuse_above_bound(name: str, factors: Iterable[int]) -> None:
+def _refuse_above_bound(name: str, factors: Iterable[int], degree: int) -> None:
     """Raise before building ``name`` if its order, the product of
-    ``factors``, exceeds ``ORDER_BOUND``.  The product stops at the first
-    partial product above the cap, so this stays cheap for S1000000."""
+    ``factors``, exceeds ``ORDER_BOUND``, or if its closure, order x
+    ``degree`` image entries, exceeds ``ENTRY_BOUND``.  The product stops
+    at the first partial product above the cap, so this stays cheap for
+    S1000000."""
     order, bound = 1, _groups.ORDER_BOUND
     for f in factors:
         order *= f
@@ -41,12 +43,18 @@ def _refuse_above_bound(name: str, factors: Iterable[int]) -> None:
                 f"{name}: order exceeds ORDER_BOUND = {bound};"
                 " set surfmoduli.groups.ORDER_BOUND = N to raise it"
             )
+    entries, cap = order * degree, _groups.ENTRY_BOUND
+    if entries > cap:
+        raise OrderBoundExceeded(
+            f"{name}: order x degree = {entries} image entries exceeds"
+            f" ENTRY_BOUND = {cap}; set surfmoduli.groups.ENTRY_BOUND = N to raise it"
+        )
 
 
 def cyclic(n: int) -> PermGroup:
     if n < 1:
         raise ValueError("cyclic group order must be positive")
-    _refuse_above_bound(f"C{n}", [n])
+    _refuse_above_bound(f"C{n}", [n], n)
     if n == 1:
         return close([Permutation.identity(1)], name="C1")
     gen = Permutation.from_cycles(n, list(range(1, n + 1)))
@@ -57,7 +65,7 @@ def dihedral(n: int) -> PermGroup:
     """Symmetries of the regular n-gon (order 2n), n >= 3."""
     if n < 3:
         raise ValueError("dihedral groups need n >= 3 here")
-    _refuse_above_bound(f"D{n}", [2, n])
+    _refuse_above_bound(f"D{n}", [2, n], n)
     rot = Permutation.from_cycles(n, list(range(1, n + 1)))
     refl = Permutation([1] + list(range(n, 1, -1)))
     return close([rot, refl], name=f"D{n}")
@@ -66,7 +74,7 @@ def dihedral(n: int) -> PermGroup:
 def symmetric(n: int) -> PermGroup:
     if n < 1:
         raise ValueError("symmetric group degree must be positive")
-    _refuse_above_bound(f"S{n}", range(2, n + 1))
+    _refuse_above_bound(f"S{n}", range(2, n + 1), n)
     if n == 1:
         return close([Permutation.identity(1)], name="S1")
     cycle = Permutation.from_cycles(n, list(range(1, n + 1)))
@@ -77,7 +85,7 @@ def symmetric(n: int) -> PermGroup:
 def alternating(n: int) -> PermGroup:
     if n < 3:
         raise ValueError("alternating groups need n >= 3 here")
-    _refuse_above_bound(f"A{n}", range(3, n + 1))  # n!/2
+    _refuse_above_bound(f"A{n}", range(3, n + 1), n)  # n!/2
     three = Permutation.from_cycles(n, [1, 2, 3])
     if n == 3:
         gens = [three]
@@ -92,7 +100,7 @@ def elementary_abelian(p: int) -> PermGroup:
     """(Z/p)^2 as two disjoint p-cycles on 2p points."""
     if p < 2:
         raise ValueError("need p >= 2")
-    _refuse_above_bound(f"EA{p}x{p}", [p, p])
+    _refuse_above_bound(f"EA{p}x{p}", [p, p], 2 * p)
     x = Permutation.from_cycles(2 * p, list(range(1, p + 1)))
     y = Permutation.from_cycles(2 * p, list(range(p + 1, 2 * p + 1)))
     return close([x, y], name=f"EA{p}x{p}")
@@ -134,8 +142,8 @@ def direct_product(*groups: PermGroup, name: Optional[str] = None) -> PermGroup:
         raise ValueError("need at least one factor")
     if name is None:
         name = "x".join(g.name or "?" for g in groups)
-    _refuse_above_bound(name, [g.order for g in groups])
     degree = sum(g.degree for g in groups)
+    _refuse_above_bound(name, [g.order for g in groups], degree)
     gens = []
     offset = 0
     for g in groups:

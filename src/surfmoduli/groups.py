@@ -2,21 +2,34 @@
 
 Elements are permutations of ``{1, ..., n}`` stored as tuples of images.
 A :class:`PermGroup` materializes its full element set at construction
-(capped at :data:`ORDER_BOUND`), so every later question -- membership,
-conjugacy, generation, simplicity, automorphisms -- reduces to finite
-enumeration with no floating point and no randomness.  All public types
-are immutable after construction and safe to share between workers.
+(capped at :data:`ORDER_BOUND` elements and :data:`ENTRY_BOUND` image
+entries), so every later question -- membership, conjugacy, generation,
+simplicity, automorphisms -- reduces to finite enumeration with no
+floating point and no randomness.  All public types are immutable after
+construction and safe to share between workers.
+
+Inside the searches an element is its index in ``G.elements``.  The
+product table is the regular action of G on those indices, stored by
+columns: column ``y`` holds the index of ``x * y`` for every ``x``.  It is
+derived from the Cayley graph, not from permutation products, filled one
+column at a time on first use and kept (see :class:`_ProductTable`).
+Generation tests, triple enumeration, least conjugators and automorphisms
+run on these columns; :class:`Permutation` objects appear only at
+construction, input and output.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from array import array
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import AutBoundExceeded, DegreeMismatch, OrderBoundExceeded
 
 ORDER_BOUND = 100_000
+ENTRY_BOUND = 10_000_000
 AUT_BOUND = 2_000
 
 
@@ -167,9 +180,11 @@ def _mulclose(generators: Sequence[Permutation], bound: int):
 
     Returns ``(elements, index)`` where ``elements`` is in deterministic
     BFS order starting from the identity and ``index`` maps each element
-    to its position.
+    to its position.  The closure holds order x degree image entries, so
+    it stops at ``bound`` elements or at ``ENTRY_BOUND`` entries.
     """
     degree = generators[0].degree
+    cap = min(bound, ENTRY_BOUND // degree)
     identity = Permutation.identity(degree)
     elements = [identity]
     index = {identity: 0}
@@ -177,7 +192,13 @@ def _mulclose(generators: Sequence[Permutation], bound: int):
         for g in generators:
             y = x * g
             if y not in index:
-                if len(elements) >= bound:
+                if len(elements) >= cap:
+                    if len(elements) < bound:
+                        raise OrderBoundExceeded(
+                            f"closure exceeded ENTRY_BOUND = {ENTRY_BOUND} image entries"
+                            f" (order x degree, degree {degree});"
+                            " set surfmoduli.groups.ENTRY_BOUND = N to raise it"
+                        )
                     name = "ORDER_BOUND" if bound == ORDER_BOUND else "bound"
                     raise OrderBoundExceeded(
                         f"closure exceeded {name} = {bound} elements;"
@@ -186,6 +207,79 @@ def _mulclose(generators: Sequence[Permutation], bound: int):
                 index[y] = len(elements)
                 elements.append(y)
     return elements, index
+
+
+def _typecode(order: int) -> str:
+    """Array type code wide enough for element indices below ``order``."""
+    return "H" if order <= 1 << 16 else "I"
+
+
+class _ProductTable:
+    """The product table of a group on element indices, kept by columns.
+
+    Column ``y`` holds the index of ``x * y`` for every index ``x``.  Let
+    ``y = p * g`` be the first edge into ``y`` of the breadth-first Cayley
+    graph (``p`` comes before ``y``).  Then ``x * y = (x * p) * g``, so
+    column ``y`` is the generator column of ``g`` read along column ``p``:
+    one C-level pass, whatever the degree.  A column is filled on first
+    use, with the unfilled columns on its path to the identity, and then
+    kept; all ``order**2`` entries exist only once every column was asked
+    for.  Conjugation arrays ``x -> h x h^-1`` are kept the same way.
+    """
+
+    def __init__(self, cayley: tuple[array, ...], elements, index):
+        order = len(elements)
+        self._code = _typecode(order)
+        self._gens = cayley
+        self._elements, self._index = elements, index
+        parent, via = [0] * order, [0] * order
+        seen = bytearray(order)
+        seen[0] = 1
+        for x, row in enumerate(zip(*cayley)):
+            for k, y in enumerate(row):
+                if not seen[y]:
+                    seen[y] = 1
+                    parent[y], via[y] = x, k
+        self.parent, self.via = parent, via
+        self._cols: list[Optional[array]] = [None] * order
+        self._cols[0] = array(self._code, range(order))
+        self._conj: list[Optional[array]] = [None] * order
+
+    def column(self, y: int) -> array:
+        """Column ``y``: the index of ``x * y`` at position ``x``."""
+        cols = self._cols
+        col = cols[y]
+        if col is None:
+            path = [y]
+            while cols[path[-1]] is None:
+                path.append(self.parent[path[-1]])
+            col = cols[path.pop()]
+            for z in reversed(path):
+                col = cols[z] = array(self._code, map(self._gens[self.via[z]].__getitem__, col))
+        return col
+
+    @cached_property
+    def inverse(self) -> array:
+        """The index of each element's inverse."""
+        index = self._index
+        return array(self._code, [index[g.inverse()] for g in self._elements])
+
+    def conjugation(self, h: int) -> array:
+        """The index of ``h x h^-1`` at position ``x``.
+
+        With ``col`` the column of ``h^-1``, ``col[inv[x]]`` is
+        ``x^-1 h^-1``, its inverse is ``h x``, and ``col`` of that is
+        ``h x h^-1``: three passes over the inverse array.
+        """
+        conj = self._conj[h]
+        if conj is None:
+            inv = self.inverse
+            col = self.column(inv[h])
+            conj = self._conj[h] = array(
+                self._code,
+                map(col.__getitem__, map(inv.__getitem__, map(col.__getitem__, inv))),
+            )
+        return conj
 
 
 class PermGroup:
@@ -343,14 +437,28 @@ class PermGroup:
         product set of their cyclic subgroups, so its size is
         ``|<a>| * |<b>| / |<a> n <b>|`` and no closure is needed.  Classes
         are single elements there, so g's power mask has a bit per element of <g>.
+        Otherwise <a, b> is closed breadth-first along the product-table
+        columns of a and b; by Lagrange it is the whole group as soon as
+        it has more than half of the elements.
         """
+        i, j = self.index_of(a), self.index_of(b)
         if self.is_abelian:
             masks, class_of = self._power_masks, self._class_of
-            ma = masks[class_of[self.index_of(a)]]
-            mb = masks[class_of[self.index_of(b)]]
+            ma, mb = masks[class_of[i]], masks[class_of[j]]
             return ma.bit_count() * mb.bit_count() == self.order * (ma & mb).bit_count()
-        sub, _ = _mulclose([a, b], bound=self.order + 1)
-        return len(sub) == self.order
+        col_a, col_b = self._table.column(i), self._table.column(j)
+        half = self.order // 2
+        seen = bytearray(self.order)
+        seen[0] = 1
+        reached = [0]
+        for x in reached:
+            for y in (col_a[x], col_b[x]):
+                if not seen[y]:
+                    seen[y] = 1
+                    reached.append(y)
+            if len(reached) > half:
+                return True
+        return False
 
     def normal_closure_size(self, g: Permutation) -> int:
         """Order of the smallest normal subgroup containing ``g``.
@@ -397,34 +505,43 @@ class PermGroup:
         return out
 
     @cached_property
-    def _cayley(self) -> tuple[list[int], ...]:
-        """Cayley graph: row i holds the indices of ``elements[i] * g``, g
-        running over the generators.  Homomorphisms are extended along it.
+    def _cayley(self) -> tuple[array, ...]:
+        """Cayley graph by generator: entry x of column k is the index of
+        ``elements[x] * generators[k]``.  These are the generator columns
+        of the product table; homomorphisms are extended along them.
         """
-        index, gens = self._index, self.generators
-        return tuple([index[x * g] for g in gens] for x in self.elements)
+        index, elements, raw = self._index, self.elements, Permutation._raw
+        code = _typecode(self.order)
+        columns = []
+        for g in self.generators:
+            # images of x * g; degree 1 has only the identity, and x * 1 = x
+            take = operator.itemgetter(*(j - 1 for j in g.images)) if self.degree > 1 else tuple
+            columns.append(array(code, [index[raw(take(x.images))] for x in elements]))
+        return tuple(columns)
+
+    @cached_property
+    def _table(self) -> _ProductTable:
+        return _ProductTable(self._cayley, self.elements, self._index)
 
     def _extend_generator_images(
-        self, target: "PermGroup", images: Sequence[Permutation]
+        self, target: "PermGroup", images: Sequence[int]
     ) -> Optional[list[int]]:
-        """Extend a generator assignment along the Cayley graph.
+        """Extend a generator assignment, given as target element indices.
 
-        One pass over the edges ``x -> x * g`` in breadth-first order: the
-        first edge into an element sets its image, and every later edge
-        must agree with it.  Returns the target element index of each
-        element's image when the assignment respects every product, else
-        ``None``.
+        The first edge ``p -> p * g`` into each element sets its image to
+        the image of p times the image of g, read off the target's column
+        of that image; then every edge of the Cayley graph must agree.
+        Returns the target element index of each element's image when the
+        assignment respects every product, else ``None``.
         """
-        index, elements = target._index, target.elements
-        full = [0] + [-1] * (self.order - 1)
-        for i, row in enumerate(self._cayley):
-            fx = elements[full[i]]
-            for j, t in zip(row, images):
-                y = index[fx * t]
-                if full[j] < 0:
-                    full[j] = y
-                elif full[j] != y:
-                    return None
+        cols = [target._table.column(t) for t in images]
+        table = self._table
+        full = [0] * self.order
+        for y, p, k in zip(range(1, self.order), table.parent[1:], table.via[1:]):
+            full[y] = cols[k][full[p]]
+        for edges, col in zip(self._cayley, cols):
+            if not all(map(operator.eq, map(full.__getitem__, edges), map(col.__getitem__, full))):
+                return None
         return full
 
     def automorphisms(self) -> list["GroupMap"]:
@@ -446,35 +563,38 @@ class PermGroup:
                 f"|G| = {self.order} exceeds AUT_BOUND = {AUT_BOUND};"
                 " set surfmoduli.groups.AUT_BOUND = N to raise it"
             )
-        gens = self.generators
+        table, class_of = self._table, self._class_of
+        gens = [self._index[g] for g in self.generators]
         kind = list(zip(self._class_orders, map(len, self._classes)))
-        candidates = []
-        for g in gens:
-            want = kind[self.class_index_of(g)]
-            candidates.append(
-                [t for t, ci in zip(self.elements, self._class_of) if kind[ci] == want]
-            )
+        order_of = [self._class_orders[ci] for ci in class_of]
+        candidates = [
+            [t for t, ci in enumerate(class_of) if kind[ci] == kind[class_of[g]]]
+            for g in gens
+        ]
         pair_orders = [
-            [(gens[j] * g).order() for j in range(pos)] for pos, g in enumerate(gens)
+            [order_of[table.column(g)[gens[j]]] for j in range(pos)]
+            for pos, g in enumerate(gens)
         ]
 
         found: list[GroupMap] = []
-        assignment: list[Permutation] = []
+        assignment: list[int] = []
+        columns: list[array] = []  # the columns of the assigned images
 
         def backtrack(pos: int):
             if pos == len(gens):
                 full = self._extend_generator_images(self, assignment)
                 if full is not None and len(set(full)) == self.order:
-                    found.append(GroupMap(self, self, assignment, _full_images=full))
+                    images = [self.elements[t] for t in assignment]
+                    found.append(GroupMap(self, self, images, _full_images=full))
                 return
+            # x t and t x are conjugate, so the order of x t is read off x's column
             for t in candidates[pos]:
-                if all(
-                    (x * t).order() == o
-                    for x, o in zip(assignment, pair_orders[pos])
-                ):
+                if all(order_of[col[t]] == o for col, o in zip(columns, pair_orders[pos])):
                     assignment.append(t)
+                    columns.append(table.column(t))
                     backtrack(pos + 1)
                     assignment.pop()
+                    columns.pop()
 
         backtrack(0)
         found.sort(key=lambda m: tuple(p.images for p in m.images))
@@ -503,7 +623,9 @@ class GroupMap:
         self.target = target
         self.images = tuple(target.elements[target.index_of(t)] for t in images)
         if _full_images is None:
-            _full_images = source._extend_generator_images(target, self.images)
+            _full_images = source._extend_generator_images(
+                target, [target._index[t] for t in self.images]
+            )
             if _full_images is None:
                 raise ValueError(
                     "generator assignment does not extend to a homomorphism"

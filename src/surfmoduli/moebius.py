@@ -42,7 +42,9 @@ class ProjPoint:
     __slots__ = ("value",)
 
     def __init__(self, value: Optional[RationalLike]):
-        self.value = None if value is None else Fraction(value)
+        if value is not None and type(value) is not Fraction:
+            value = Fraction(value)
+        self.value = value
 
     @staticmethod
     def infinity() -> "ProjPoint":
@@ -117,10 +119,12 @@ class MoebiusMap:
 
     Stored projectively: entries are scaled so that the first nonzero
     entry in the order (a, b, c, d) equals 1, making equality of maps
-    equality of matrices.
+    equality of matrices.  Points are mapped by the same matrix scaled to
+    integer entries (found on first use), so each point costs integer
+    arithmetic and one fraction.
     """
 
-    __slots__ = ("a", "b", "c", "d")
+    __slots__ = ("a", "b", "c", "d", "_integral")
 
     def __init__(self, a: RationalLike, b: RationalLike,
                  c: RationalLike, d: RationalLike):
@@ -132,15 +136,21 @@ class MoebiusMap:
                 a, b, c, d = a / pivot, b / pivot, c / pivot, d / pivot
                 break
         self.a, self.b, self.c, self.d = a, b, c, d
+        self._integral = None
 
     @staticmethod
     def identity() -> "MoebiusMap":
         return MoebiusMap(1, 0, 0, 1)
 
     def __call__(self, p: ProjPoint) -> ProjPoint:
-        n, d = _homogeneous(p)
-        num, den = self.a * n + self.b * d, self.c * n + self.d * d
-        return ProjPoint(None if den == 0 else num / den)
+        if self._integral is None:
+            entries = (self.a, self.b, self.c, self.d)
+            scale = math.lcm(*(x.denominator for x in entries))
+            self._integral = tuple(x.numerator * (scale // x.denominator) for x in entries)
+        a, b, c, d = self._integral
+        n, m = _homogeneous(p)
+        den = c * n + d * m
+        return ProjPoint(None if den == 0 else Fraction(a * n + b * m, den))
 
     def compose(self, other: "MoebiusMap") -> "MoebiusMap":
         """Matrix product: apply ``other`` first."""

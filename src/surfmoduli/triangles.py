@@ -123,10 +123,14 @@ def genus(triple: SphericalTriple) -> int:
     of the genus count is an integer; a parity or sign violation raises
     :class:`NonIntegralGenus` (impossible for a valid triple).
     """
-    n = triple.group.order
+    G = triple.group
+    return _genus(G.order, [G.element_order(x) for x in (triple.a, triple.b, triple.c)])
+
+
+def _genus(n: int, orders) -> int:
+    """Genus of a degree-n cover of the line with these branching orders."""
     rhs = -2 * n
-    for x in (triple.a, triple.b, triple.c):
-        m = triple.group.element_order(x)
+    for m in orders:
         rhs += n - n // m
     if (rhs + 2) % 2 != 0 or rhs + 2 < 0:
         raise NonIntegralGenus(f"2g - 2 = {rhs} admits no genus")
@@ -185,31 +189,48 @@ def enumerate_triples(
     the class of r.  The output order is deterministic: by conjugacy class
     of the first entry, then by element index of the first and second
     entries.
+
+    The search runs on element indices: conjugation arrays and the column
+    of r^-1 come from the group's product table (c = (r b)^-1 = b^-1 r^-1),
+    types and genera from the per-class orders.  Each output triple is
+    built once, from ``G.elements``, after its block is sorted.
     """
-    elements, index = G.elements, G._index
-    others = list(G._inner.values())[1:]  # centre transversal minus identity
+    elements, index, n = G.elements, G._index, G.order
+    table = G._table
+    inv = table.inverse
+    orders = [G._class_orders[ci] for ci in G._class_of]
+    # conjugation by the centre transversal minus the identity
+    conjugations = [table.conjugation(index[h]) for h in list(G._inner.values())[1:]]
     full = []
     for cls in G.conjugacy_classes():
         r = cls.representative
-        centraliser = [h for h in others if r.conjugated_by(h) == r]
-        marked = [False] * G.order
+        ir = index[r]
+        centraliser = [conj for conj in conjugations if conj[ir] == ir]
+        col = table.column(inv[ir])
+        marked = bytearray(n)
         block = []
-        for i, b in enumerate(G.elements):
-            if marked[i]:
+        for ib, b in enumerate(elements):
+            if marked[ib]:
                 continue
-            for h in centraliser:
-                marked[index[b.conjugated_by(h)]] = True
+            for conj in centraliser:
+                marked[conj[ib]] = 1
             if not G.generates_pair(r, b):
                 continue
-            c = elements[index[(r * b).inverse()]]
-            t = SphericalTriple(G, r, b, c, _check=False)
-            if triple_type is not None and t.triple_type != triple_type:
+            ic = col[inv[ib]]
+            m = (orders[ir], orders[ib], orders[ic])
+            if triple_type is not None and tuple(sorted(m)) != triple_type.orders:
                 continue
-            if hyperbolic_only and not is_hyperbolic(t):
+            if hyperbolic_only and _genus(n, m) < 2:
                 continue
-            block.append(t)
-            block.extend(t.conjugated_by(h) for h in others)
-        full.extend(sorted(block, key=lambda t: (index[t.a], index[t.b])))
+            # one int per triple, (a n + b) n + c: it sorts by (a, b) and
+            # takes a fifth of the memory of a tuple
+            block.append((ir * n + ib) * n + ic)
+            block.extend((conj[ir] * n + conj[ib]) * n + conj[ic] for conj in conjugations)
+        block.sort()
+        for key in block:
+            ab, c = divmod(key, n)
+            a, b = divmod(ab, n)
+            full.append(SphericalTriple(G, elements[a], elements[b], elements[c], _check=False))
     return full
 
 

@@ -113,6 +113,41 @@ def test_builtin_above_the_order_bound_is_refused_before_it_is_built(name):
     assert time.perf_counter() - started < 0.5
 
 
+def test_builtin_above_the_entry_bound_is_refused_before_it_is_built():
+    started = time.perf_counter()
+    with pytest.raises(
+        OrderBoundExceeded,
+        match=r"^C100000: order x degree = 10000000000 image entries exceeds "
+        r"ENTRY_BOUND = 10000000; set surfmoduli\.groups\.ENTRY_BOUND = N to raise it$",
+    ):
+        catalog.builtin("C100000")
+    assert time.perf_counter() - started < 0.5
+
+
+@pytest.mark.parametrize(
+    "name, order",
+    [("S7", 5040), ("A7", 2520), ("PSL2_17", 2448), ("PSL2_31", 14880), ("EA7x7", 49),
+     ("C7xC7", 49), ("D4xC2", 16), ("C169", 169)],
+)
+def test_builtins_in_use_are_within_the_entry_bound(name, order):
+    assert catalog.builtin(name).order == order
+
+
+def test_entry_bound_is_read_at_call_time(monkeypatch):
+    monkeypatch.setattr("surfmoduli.groups.ENTRY_BOUND", 100)
+    with pytest.raises(OrderBoundExceeded, match="^C12: order x degree = 144 image entries"):
+        catalog.builtin("C12")
+    with pytest.raises(
+        OrderBoundExceeded,
+        match=r"^closure exceeded ENTRY_BOUND = 100 image entries \(order x degree, "
+        r"degree 12\); set surfmoduli\.groups\.ENTRY_BOUND = N to raise it$",
+    ):
+        close([Permutation.from_cycles(12, list(range(1, 13)))])
+    with pytest.raises(OrderBoundExceeded, match="^closure exceeded ENTRY_BOUND = 100 "):
+        catalog.psl2(7)  # no closed-form check; the closure fires
+    assert catalog.builtin("C10").order == 10
+
+
 def test_order_bound_is_read_at_call_time(monkeypatch):
     monkeypatch.setattr("surfmoduli.groups.ORDER_BOUND", 10)
     with pytest.raises(OrderBoundExceeded, match="^S4: order exceeds ORDER_BOUND = 10"):

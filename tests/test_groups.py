@@ -131,7 +131,7 @@ class TestClassMasks:
     def test_lazy_facts_are_not_built_with_the_group(self):
         G = catalog.builtin("A6")
         facts = ("_class_of", "_power_masks", "_classes", "_inner", "_automorphisms",
-                 "_cayley", "_class_orders")
+                 "_cayley", "_class_orders", "_table")
         for fact in facts:
             assert fact not in G.__dict__, fact
         G.power_class_signature(G.generators[0])
@@ -161,6 +161,15 @@ class TestGenerates:
                     expected = len(naive_mulclose([a, b])) == G.order
                     assert G.generates_pair(a, b) == expected
 
+    @pytest.mark.parametrize("name", ["S4", "A4", "D5", "D4xC2", "S3xC3"])
+    def test_non_abelian_pair_matches_closure(self, name):
+        G = catalog.builtin(name)
+        assert not G.is_abelian
+        for a in G.elements:
+            for b in G.elements:
+                expected = len(naive_mulclose([a, b])) == G.order
+                assert G.generates_pair(a, b) == expected, (a, b)
+
     def test_membership_required(self, small_catalog):
         G = small_catalog["C5"]
         with pytest.raises(ValueError):
@@ -171,6 +180,38 @@ class TestGenerates:
             G = small_catalog[name]
             for g in G.elements:
                 assert G.element_order(g) == g.order()
+
+
+class TestProductTable:
+    @pytest.mark.parametrize("name", ["S4", "D5", "D4xC2", "C12", "PSL2_7"])
+    def test_entries_and_inverses_match_permutation_products(self, name):
+        G = catalog.builtin(name)
+        E, table = G.elements, G._table
+        for y in range(G.order):
+            column = table.column(y)
+            for x in range(G.order):
+                assert E[column[x]] == E[x] * E[y]
+        for x in range(G.order):
+            assert E[table.inverse[x]] == E[x].inverse()
+            assert (E[x] * E[table.inverse[x]]).is_identity()
+        for h in range(0, G.order, 5):
+            conj = table.conjugation(h)
+            for x in range(G.order):
+                assert E[conj[x]] == E[h] * E[x] * E[h].inverse()
+
+    def test_columns_fill_along_the_breadth_first_tree(self):
+        G = catalog.builtin("A6")
+        table = G._table
+        y = G.order - 1
+        path = [y]
+        while path[-1]:
+            path.append(table.parent[path[-1]])
+        table.column(y)
+        filled = {z for z, col in enumerate(table._cols) if col is not None}
+        assert filled == set(path)
+        for z in path[:-1]:
+            p = table.parent[z]
+            assert G.elements[z] == G.elements[p] * G.generators[table.via[z]]
 
 
 class TestIsSimple:

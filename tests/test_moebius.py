@@ -122,6 +122,21 @@ class TestPointsAndMaps:
         got = apply_map(m, family_branch_set(3, 7))
         assert got == pts(8, -5, 1, 2, 3, 4, 5, 6)
 
+    def test_integer_matrix_maps_like_the_fractions(self):
+        rng = random.Random(11)
+        for _ in range(50):
+            m = MoebiusMap(*(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)),
+                           Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+            for p in [INF] + [random_point(rng) for _ in range(8)]:
+                if p == INF:
+                    want = INF if m.c == 0 else ProjPoint(m.a / m.c)
+                elif m.c * p.value + m.d == 0:
+                    want = INF
+                else:
+                    want = ProjPoint((m.a * p.value + m.b) / (m.c * p.value + m.d))
+                got = m(p)
+                assert got == want and type(got.value) in (type(None), Fraction)
+
     def test_compose_and_inverse(self):
         rng = random.Random(7)
         for _ in range(25):

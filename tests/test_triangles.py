@@ -1,6 +1,8 @@
 """Triangle-curve combinatorics: genus, enumeration, stabilizer sets,
 marked and unmarked equivalence."""
 
+import time
+
 import pytest
 from conftest import naive_genus, naive_sigma, naive_triples
 
@@ -296,12 +298,22 @@ class TestOneObjectPerElement:
                 self.assert_own(G, *phi.images, *copy.images)
                 self.assert_own(G, *(copy(g) for g in G.elements))
 
-    def test_cayley_graph_is_built_only_for_maps(self):
+    def test_generation_tests_share_one_cayley_graph_and_table(self):
         G = catalog.builtin("A6")
         assert G.generates_pair(*G.generators)
-        assert "_cayley" not in G.__dict__
+        cayley, table = G._cayley, G._table
+        for a in G.elements[::7]:
+            for b in G.elements[::5]:
+                G.generates_pair(a, b)
+        enumerate_triples(G, triple_type=TripleType(2, 4, 5))
         GroupMap(G, G, G.generators)
-        assert "_cayley" in G.__dict__
+        assert G._cayley is cayley and G._table is table
+        # a lone test fills only the columns on the paths of its two elements
+        S8 = catalog.builtin("S8")
+        started = time.perf_counter()
+        assert S8.generates_pair(*S8.generators)
+        assert time.perf_counter() - started < 0.48  # twice the closure it replaced
+        assert sum(col is not None for col in S8._table._cols) < 100
 
     def test_conjugating_out_of_the_group_is_rejected(self, small_catalog):
         G = small_catalog["D5"]  # the rotations and reflections of the pentagon
