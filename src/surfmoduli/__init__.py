@@ -24,6 +24,7 @@ from importlib import import_module as _import_module
 from .beauville import (
     BeauvilleStructure,
     ScanRow,
+    count_structures,
     is_beauville_pair,
     isogenous_invariants,
     scan,

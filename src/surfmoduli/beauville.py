@@ -7,6 +7,13 @@ is free.  Both stabilizer sets are unions of conjugacy classes, so the
 freeness condition is equivalent to their class supports sharing only the
 identity class; the search below exploits that.
 
+:func:`search` lists the structures, one canonical pair per orbit of
+simultaneous conjugation.  :func:`count_structures` gives the same number
+without listing any triple: a triple's class support and hyperbolicity
+depend only on the classes of its entries, so it counts Inn(G)-orbits of
+triples per support and pairs compatible supports.  :func:`scan` and the
+CLI verdicts and counts use it.
+
 The quotient surface of a structure with curve genera ``(g1, g2)`` has
 
     chi = (g1 - 1)(g2 - 1) / |G|,   ksq = 8 chi,   e = 4 chi,   tau = 0,
@@ -26,6 +33,8 @@ from .groups import PermGroup, Permutation
 from .invariants import SurfaceInvariants
 from .triangles import (
     SphericalTriple,
+    _hyperbolic_orders,
+    _orbit_candidates,
     enumerate_triples,
     genus,
     is_hyperbolic,
@@ -157,6 +166,57 @@ def search(G: PermGroup, stop_at_first: bool = False) -> list[BeauvilleStructure
     return structures
 
 
+def _support_orbits(G: PermGroup, stop_at_first: bool = False) -> dict[int, int]:
+    """n(s): the Inn(G)-orbits of hyperbolic generating triples of support s.
+
+    Each generating candidate of the orbit walk stands for one orbit, and
+    a triple's class support (its stabilizer set's bitmask) and its
+    hyperbolicity depend only on the classes of its entries.  So the
+    candidates are grouped by support before any generation test, and
+    only supports that meet another candidate's support in the identity
+    class alone (``s1 & s2 == 1``) are kept and tested.  With
+    ``stop_at_first`` each support is tested only up to its first
+    generating candidate (n(s) is 0 or 1), and the walk stops once two
+    realized supports are compatible.
+    """
+    elements, class_of = G.elements, G._class_of
+    order_of = [G._class_orders[ci] for ci in class_of]
+    mask_of = [G._power_masks[ci] for ci in class_of]
+    candidates: dict[int, list[tuple[int, int]]] = {}
+    for ir, ib, ic in _orbit_candidates(G):
+        if _hyperbolic_orders(order_of[ir], order_of[ib], order_of[ic]):
+            candidates.setdefault(mask_of[ir] | mask_of[ib] | mask_of[ic], []).append((ir, ib))
+    n: dict[int, int] = {}
+    for s, pairs in candidates.items():
+        if not any(s & t == 1 for t in candidates):
+            continue
+        tests = (G.generates_pair(elements[ir], elements[ib]) for ir, ib in pairs)
+        if not stop_at_first:
+            n[s] = sum(tests)
+        elif any(tests):
+            n[s] = 1
+            if any(s & t == 1 for t in n):
+                break
+    return n
+
+
+def count_structures(G: PermGroup, stop_at_first: bool = False) -> int:
+    """``len(search(G, stop_at_first))``, computed without listing a triple.
+
+    Inn(G) acts freely on the admissible ordered pairs of triples, and
+    there are ``[G:Z(G)]^2 n(s1) n(s2)`` of them for each compatible
+    pair of supports (see :func:`_support_orbits`), so
+
+        count = [G:Z(G)] * sum over compatible (s1, s2) of n(s1) n(s2).
+
+    With ``stop_at_first`` the count is 1 if two realized supports are
+    compatible, else 0.
+    """
+    n = _support_orbits(G, stop_at_first)
+    pairs = sum(n[s] * n[t] for s in n for t in n if s & t == 1)
+    return min(pairs, 1) if stop_at_first else len(G._inner) * pairs
+
+
 def isogenous_invariants(
     g1: int, g2: int, group_order: int
 ) -> SurfaceInvariants:
@@ -215,18 +275,17 @@ def scan(
 
     Errors raised for one group are recorded in its row and do not abort
     the rest of the scan.  With ``stop_at_first`` (the default) each group
-    is only searched until the first structure certifies a yes.
+    is only searched until the first structure certifies a yes.  Rows are
+    counted by :func:`count_structures`; no triple is listed.
     """
     rows = []
     for G in family:
         name = G.name or f"degree{G.degree}"
         started = time.perf_counter()
         try:
-            results = search(G, stop_at_first=stop_at_first)
+            found = count_structures(G, stop_at_first=stop_at_first)
             elapsed = int(round((time.perf_counter() - started) * 1000))
-            rows.append(
-                ScanRow(name, G.order, bool(results), len(results), elapsed)
-            )
+            rows.append(ScanRow(name, G.order, found > 0, found, elapsed))
         except SurfModuliError as exc:
             elapsed = int(round((time.perf_counter() - started) * 1000))
             rows.append(ScanRow(name, G.order, False, 0, elapsed, str(exc)))

@@ -145,12 +145,17 @@ def cmd_triangles_enumerate(args):
 def cmd_beauville_search(args):
     G = catalog.resolve(args.group)
     print(f"searching {G.name or args.group} (order {G.order})", file=sys.stderr)
-    results = bv.search(G, stop_at_first=args.first)
+    # only --structures lists the structures; the verdict and count need no triple
+    if args.structures:
+        results = bv.search(G, stop_at_first=args.first)
+        found = len(results)
+    else:
+        found = bv.count_structures(G, stop_at_first=args.first)
     doc = {
         "group": G.name or args.group,
         "order": G.order,
-        "beauville": bool(results),
-        "structures_found": len(results),
+        "beauville": found > 0,
+        "structures_found": found,
     }
     rows = [f"{k}: {_human(v)}" for k, v in doc.items()]
     if args.structures:

@@ -398,15 +398,19 @@ class PermGroup:
 
     @cached_property
     def _power_masks(self) -> list[int]:
-        """Per class, the bitmask of the classes its elements' powers meet."""
-        class_of, index = self._class_of, self._index
+        """Per class, the bitmask of the classes its elements' powers meet.
+
+        The powers of g are walked along g's product-table column: entry
+        j of that column is the index of ``elements[j] * g``.
+        """
+        class_of, index, table = self._class_of, self._index, self._table
         masks = []
         for g in self._first_of_each_class():
-            mask, p, j = 1, g, index[g]
+            j = index[g]
+            col, mask = table.column(j), 1
             while j:  # the identity has index 0
                 mask |= 1 << class_of[j]
-                p = p * g
-                j = index[p]
+                j = col[j]
             masks.append(mask)
         return masks
 

@@ -15,6 +15,8 @@ is a union of full conjugacy classes.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
 from typing import Literal, Optional
 
 from .errors import GroupMismatch, NonIntegralGenus
@@ -172,6 +174,57 @@ def sigma_class_indices(triple: SphericalTriple) -> int:
     )
 
 
+def _hyperbolic_orders(m1: int, m2: int, m3: int) -> bool:
+    """True iff branching orders m1, m2, m3 give genus at least 2.
+
+    That is ``1/m1 + 1/m2 + 1/m3 < 1``, cleared of denominators.  It reads
+    the orders only, so unlike :func:`_genus` it holds for any three
+    orders, whether or not the pair behind them generates.
+    """
+    return m1 * m2 + m1 * m3 + m2 * m3 < m1 * m2 * m3
+
+
+def _orbit_candidates(G: PermGroup):
+    """One candidate ``(ir, ib, ic)`` per orbit of Inn(G) on pairs led by
+    a class representative, as element indices with ``c = (r b)^-1``.
+
+    For each class representative r, in class order, b runs over the
+    element indices and only the first b of each orbit of the centraliser
+    C_G(r) is yielded: (r, b) and (r, h b h^-1) with h in C_G(r) are
+    conjugate, and every conjugate of a pair has a first entry conjugate
+    to r.  So each candidate that generates stands for exactly one
+    Inn(G)-orbit of generating triples.  For a central r the orbits are
+    the conjugacy classes, and b runs over their first elements.
+    Otherwise the orbits are marked by the conjugation arrays of the
+    elements h of the centre transversal ``G._inner`` with h r = r h,
+    found from the columns of r and r^-1 (r h is the inverse of
+    h^-1 r^-1), so only those arrays are built.  c is read off the
+    product-table column of r^-1 (c = b^-1 r^-1).
+    """
+    index, table, n = G._index, G._table, G.order
+    inv = table.inverse
+    transversal = [index[h] for h in G._inner.values()][1:]
+    firsts = [index[g] for g in G._first_of_each_class()]
+    for cls in G.conjugacy_classes():
+        ir = index[cls.representative]
+        col = table.column(inv[ir])
+        if len(cls) == 1:
+            for ib in firsts:
+                yield ir, ib, col[inv[ib]]
+            continue
+        col_r = table.column(ir)
+        centraliser = [
+            table.conjugation(h) for h in transversal if col_r[h] == inv[col[inv[h]]]
+        ]
+        marked = bytearray(n)
+        for ib in range(n):
+            if marked[ib]:
+                continue
+            for conj in centraliser:
+                marked[conj[ib]] = 1
+            yield ir, ib, col[inv[ib]]
+
+
 def enumerate_triples(
     G: PermGroup,
     triple_type: Optional[TripleType] = None,
@@ -179,48 +232,34 @@ def enumerate_triples(
 ) -> list[SphericalTriple]:
     """All generating triples of G, optionally filtered by type.
 
-    For each class representative r, the second entries b run over
-    ``G.elements`` and only the first b of each orbit of the centraliser
-    C_G(r) is tested: (r, b) and (r, h b h^-1) with h in C_G(r) are
-    conjugate, and generation, type and genus are conjugation invariant.
-    Inn(G) acts freely on generating triples, so conjugating each kept
-    triple by every element of the centre transversal ``G._inner`` gives
-    each triple of its orbit exactly once, covering every first entry in
-    the class of r.  The output order is deterministic: by conjugacy class
-    of the first entry, then by element index of the first and second
-    entries.
+    The generating candidates of :func:`_orbit_candidates` are one triple
+    per Inn(G)-orbit; generation, type and genus are conjugation
+    invariant.  Inn(G) acts freely on generating triples, so conjugating
+    each kept triple by every element of the centre transversal
+    ``G._inner`` gives each triple of its orbit exactly once, covering
+    every first entry in the class of r.  The output order is
+    deterministic: by conjugacy class of the first entry, then by element
+    index of the first and second entries.
 
-    The search runs on element indices: conjugation arrays and the column
-    of r^-1 come from the group's product table (c = (r b)^-1 = b^-1 r^-1),
-    types and genera from the per-class orders.  Each output triple is
-    built once, from ``G.elements``, after its block is sorted.
+    The search runs on element indices: conjugation arrays come from the
+    group's product table, types and hyperbolicity from the per-class
+    orders.  Each output triple is built once, from ``G.elements``, after
+    its block is sorted.
     """
     elements, index, n = G.elements, G._index, G.order
-    table = G._table
-    inv = table.inverse
     orders = [G._class_orders[ci] for ci in G._class_of]
     # conjugation by the centre transversal minus the identity
-    conjugations = [table.conjugation(index[h]) for h in list(G._inner.values())[1:]]
+    conjugations = [G._table.conjugation(index[h]) for h in list(G._inner.values())[1:]]
     full = []
-    for cls in G.conjugacy_classes():
-        r = cls.representative
-        ir = index[r]
-        centraliser = [conj for conj in conjugations if conj[ir] == ir]
-        col = table.column(inv[ir])
-        marked = bytearray(n)
+    for ir, candidates in groupby(_orbit_candidates(G), key=itemgetter(0)):
         block = []
-        for ib, b in enumerate(elements):
-            if marked[ib]:
+        for _, ib, ic in candidates:
+            if not G.generates_pair(elements[ir], elements[ib]):
                 continue
-            for conj in centraliser:
-                marked[conj[ib]] = 1
-            if not G.generates_pair(r, b):
-                continue
-            ic = col[inv[ib]]
             m = (orders[ir], orders[ib], orders[ic])
             if triple_type is not None and tuple(sorted(m)) != triple_type.orders:
                 continue
-            if hyperbolic_only and _genus(n, m) < 2:
+            if hyperbolic_only and not _hyperbolic_orders(*m):
                 continue
             # one int per triple, (a n + b) n + c: it sorts by (a, b) and
             # takes a fifth of the memory of a tuple

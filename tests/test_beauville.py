@@ -9,14 +9,20 @@ from surfmoduli import catalog
 from surfmoduli.beauville import (
     BeauvilleStructure,
     _least_conjugator,
+    _support_orbits,
+    count_structures,
     is_beauville_pair,
     isogenous_invariants,
     scan,
     search,
     structure_invariants,
 )
-from surfmoduli.errors import GroupMismatch, NonIntegralChi
+from surfmoduli.errors import GroupMismatch, NonIntegralChi, NonIntegralGenus
+from surfmoduli.groups import Permutation, close
 from surfmoduli.triangles import (
+    _genus,
+    _hyperbolic_orders,
+    _orbit_candidates,
     enumerate_triples,
     is_hyperbolic,
     sigma_class_indices,
@@ -38,6 +44,17 @@ def quadruple_loop_structures(G):
             if sigmas[t1] & sigmas[t2] == {G.identity}:
                 out.add(naive_canonical_pair(G, t1, t2))
     return out
+
+
+def heisenberg_mod5():
+    """The Heisenberg group mod 5 on the 25 points (a, b): x moves
+    (a, b) to (a + 1, b) and y moves it to (a, b + a).  Its centre has
+    order 5, so [G:Z(G)] = 25 is neither 1 nor |G| = 125."""
+    points = [(a, b) for a in range(5) for b in range(5)]
+    label = {p: i + 1 for i, p in enumerate(points)}
+    x = Permutation(label[(a + 1) % 5, b] for a, b in points)
+    y = Permutation(label[a, (b + a) % 5] for a, b in points)
+    return close([x, y], name="Heis5")
 
 
 class TestIsBeauvillePair:
@@ -184,6 +201,57 @@ class TestSearch:
             BeauvilleStructure(t, t)
 
 
+class TestCountStructures:
+    def test_equals_the_listing_length(self, small_catalog):
+        groups = list(small_catalog.values()) + [
+            catalog.symmetric(5),
+            catalog.psl2(7),
+            catalog.builtin("C7xC7"),
+            heisenberg_mod5(),
+        ]
+        for G in groups:
+            for stop_at_first in (True, False):
+                expected = len(search(G, stop_at_first=stop_at_first))
+                assert count_structures(G, stop_at_first) == expected, (G, stop_at_first)
+
+    def test_heisenberg_counts_with_a_proper_centre(self):
+        G = heisenberg_mod5()
+        assert G.order == 125 and len(G._inner) == 25
+        assert count_structures(G) == 288000
+
+    @pytest.mark.parametrize("name", ["S5", "PSL2_7", "EA5x5"])
+    def test_support_orbits_count_the_listed_triples(self, name):
+        G = catalog.builtin(name)
+        listed = Counter(
+            sigma_class_indices(t) for t in enumerate_triples(G, hyperbolic_only=True)
+        )
+        n = _support_orbits(G)
+        # every listed support with a compatible listed partner is counted
+        assert set(n) >= {s for s in listed if any(s & t == 1 for t in listed)}
+        for s, orbits in n.items():
+            assert orbits * len(G._inner) == listed[s], (name, s)
+
+    @pytest.mark.parametrize("name", ["S4", "C6xC6"])
+    def test_orders_are_tested_before_generation(self, name):
+        # the genus formula raises on some non-generating candidates, and on
+        # C6xC6 some of them even have hyperbolic orders; the count tests
+        # orders first and generation only where the support allows a pair
+        G = catalog.builtin(name)
+        E, order = G.elements, G.element_order
+        non_generating = [
+            [order(E[i]) for i in candidate]
+            for candidate in _orbit_candidates(G)
+            if not G.generates_pair(E[candidate[0]], E[candidate[1]])
+        ]
+        with pytest.raises(NonIntegralGenus):
+            for orders in non_generating:
+                _genus(G.order, orders)
+        assert any(_hyperbolic_orders(*orders) for orders in non_generating) == (
+            name == "C6xC6"
+        )
+        assert count_structures(G) == count_structures(G, stop_at_first=True) == 0
+
+
 class TestScan:
     def test_cyclic_groups_all_no(self):
         rows = scan([catalog.cyclic(n) for n in (5, 7, 30, 60)])
@@ -202,14 +270,14 @@ class TestScan:
         from surfmoduli import beauville as bv
         from surfmoduli.errors import OrderBoundExceeded
 
-        real_search = bv.search
+        real_count = bv.count_structures
 
-        def failing_search(G, stop_at_first=False):
+        def failing_count(G, stop_at_first=False):
             if G.name == "C6":
                 raise OrderBoundExceeded("injected failure")
-            return real_search(G, stop_at_first=stop_at_first)
+            return real_count(G, stop_at_first=stop_at_first)
 
-        monkeypatch.setattr(bv, "search", failing_search)
+        monkeypatch.setattr(bv, "count_structures", failing_count)
         rows = bv.scan(
             [small_catalog["C5"], small_catalog["C6"], small_catalog["EA5x5"]]
         )

@@ -137,6 +137,33 @@ class TestClassMasks:
         G.power_class_signature(G.generators[0])
         assert "_class_of" in G.__dict__ and "_power_masks" in G.__dict__
 
+    @pytest.mark.parametrize("name", ["S5", "PSL2_7", "D6", "C5xC4xC3", "EA5x5"])
+    def test_power_masks_match_a_permutation_power_walk(self, name):
+        G = catalog.builtin(name)
+        masks = []
+        for g in G._first_of_each_class():
+            mask, p = 1, g
+            while not p.is_identity():
+                mask |= 1 << G.class_index_of(p)
+                p = p * g
+            masks.append(mask)
+        assert G._power_masks == masks
+
+    def test_power_masks_fill_only_the_columns_of_the_class_first_elements(self):
+        G = catalog.builtin("A6")
+        table = G._table
+        expected = set()
+        for g in G._first_of_each_class():
+            z = G.index_of(g)
+            expected.add(z)
+            while z:
+                z = table.parent[z]
+                expected.add(z)
+        G._power_masks
+        filled = {z for z, col in enumerate(table._cols) if col is not None}
+        assert filled == expected
+        assert len(filled) < G.order
+
 
 class TestGenerates:
     def test_s4_examples(self, small_catalog):

@@ -2,6 +2,7 @@
 marked and unmarked equivalence."""
 
 import time
+from fractions import Fraction
 
 import pytest
 from conftest import naive_genus, naive_sigma, naive_triples
@@ -13,6 +14,7 @@ from surfmoduli.groups import GroupMap, Permutation
 from surfmoduli.triangles import (
     SphericalTriple,
     TripleType,
+    _hyperbolic_orders,
     branch_permutation_orbit,
     enumerate_triples,
     genus,
@@ -83,6 +85,14 @@ class TestGenus:
                     n - n // G.element_order(x) for x in (t.a, t.b, t.c)
                 )
                 assert is_hyperbolic(t) == (rhs >= 2)
+
+    def test_order_predicate_is_the_reciprocal_sum_test(self):
+        # valid for any three orders, generating or not, unlike the genus
+        for m1 in range(1, 61):
+            for m2 in range(1, 61):
+                for m3 in range(1, 61):
+                    expected = Fraction(1, m1) + Fraction(1, m2) + Fraction(1, m3) < 1
+                    assert _hyperbolic_orders(m1, m2, m3) == expected, (m1, m2, m3)
 
 
 class TestEnumeration:
