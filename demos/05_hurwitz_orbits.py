@@ -4,9 +4,9 @@ Factorizations of braids into ordered tuples of factors are acted on by
 Hurwitz moves (which shuffle adjacent factors while conjugating one by the
 other), simultaneous conjugation, and the creation or cancellation of
 adjacent node pairs (a conjugate of s1^2 next to the matching conjugate of
-s1^-2).  Braid equality is decided exactly through the faithful action on
-a free group, and the same canonical forms make orbit enumeration finite
-at desk scale.
+s1^-2).  Braid equality is decided exactly by Garside left normal forms,
+and the same canonical forms make orbit enumeration finite at desk scale;
+orbit representatives are spelled from them.
 """
 
 from surfmoduli import (

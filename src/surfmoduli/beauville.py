@@ -24,8 +24,10 @@ with q = 0 and pg = chi - 1 because both quotient curves are rational.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from math import isqrt
 from typing import Iterable
 
 from .errors import GroupMismatch, NonIntegralChi, SurfModuliError
@@ -166,6 +168,19 @@ def search(G: PermGroup, stop_at_first: bool = False) -> list[BeauvilleStructure
     return structures
 
 
+def _needs_three_generators(orders: list[int]) -> bool:
+    """Whether an abelian group with these element orders needs more than
+    two generators: a two-generated one has at most p^2 elements with
+    x^p = 1 for every prime p, and a generating triple (a, b, (ab)^-1)
+    is generated by a and b."""
+    counts = Counter(orders)
+    return any(
+        1 + counts[p] > p * p
+        for p in counts
+        if p > 1 and all(p % d for d in range(2, isqrt(p) + 1))
+    )
+
+
 def _support_orbits(G: PermGroup, stop_at_first: bool = False) -> dict[int, int]:
     """n(s): the Inn(G)-orbits of hyperbolic generating triples of support s.
 
@@ -177,10 +192,13 @@ def _support_orbits(G: PermGroup, stop_at_first: bool = False) -> dict[int, int]
     class alone (``s1 & s2 == 1``) are kept and tested.  With
     ``stop_at_first`` each support is tested only up to its first
     generating candidate (n(s) is 0 or 1), and the walk stops once two
-    realized supports are compatible.
+    realized supports are compatible.  An abelian group that needs three
+    generators has no generating triple, so it returns before the walk.
     """
     elements, class_of = G.elements, G._class_of
     order_of = [G._class_orders[ci] for ci in class_of]
+    if G.is_abelian and _needs_three_generators(order_of):
+        return {}
     mask_of = [G._power_masks[ci] for ci in class_of]
     candidates: dict[int, list[tuple[int, int]]] = {}
     for ir, ib, ic in _orbit_candidates(G):

@@ -2,30 +2,37 @@
 factorizations: Hurwitz moves, simultaneous conjugation, and creation or
 cancellation of adjacent positive/negative node pairs.
 
-Equality of braid words is decided through the faithful action on the
-free group of rank n,
+Equality of braid words is decided by the left normal form of Elrifai and
+Morton (Quart. J. Math. 45, 1994; Epstein et al., *Word Processing in
+Groups*, ch. 9): every braid is uniquely
 
-    sigma_i :  x_i -> x_i x_{i+1} x_i^{-1},   x_{i+1} -> x_i,
+    Delta^k A_1 ... A_r,
 
-comparing the freely reduced images of all n free generators.  The tuple
-of images is also the canonical form used to hash factorizations during
-orbit enumeration, since factorwise braid equality is what the moves
-preserve.  Each image is carried together with its inverse while the
-letters are read, so a product of two reduced words is reduced by
-cancelling only where they meet: the longest common suffix of the left
-word and the right word's inverse is cut off both words, and the rest
-is joined by slicing, never by re-walking either word.  Image words can grow
-exponentially, so a per-word length cap (``WORD_CAP``, 10000 letters,
-read at call time; pass ``cap=N`` to override it) aborts with
-:class:`BudgetExceeded` instead of thrashing.
+with Delta the half twist and A_1 .. A_r permutation braids (positive
+braids in which two strands cross at most once) other than 1 and Delta,
+each pair (A_j, A_{j+1}) left-weighted: every generator dividing A_{j+1}
+on the left divides A_j on the right.  A permutation braid is stored as
+its permutation, and a pair is left-weighted through the greatest common
+left divisor of two of them, a merge sort of the strands in O(n log n)
+steps.  A word is brought to this form letter by letter and two forms
+multiply by one right-to-left pass per factor, at polynomial cost; no
+table over the n! permutation braids is ever built.
+
+The tuple of the factors' normal forms is also the canonical form used to
+hash factorizations during orbit enumeration, since factorwise braid
+equality is what the moves preserve.  Orbits run on normal forms: each
+successor is a product of normal forms, so no long word is re-read, and
+the representatives are spelled from the forms.  A normal form with more
+than ``WORD_CAP`` simple factors (10000, the Delta power counted, read at
+call time; pass ``cap=N`` to override it) raises :class:`BudgetExceeded`.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+from bisect import bisect_left, bisect_right
 from collections import deque
-from functools import lru_cache
 from typing import Iterable, Literal, Sequence
 
 from .errors import (
@@ -36,28 +43,6 @@ from .errors import (
 )
 
 WORD_CAP = 10_000
-
-# a free-group word: tuple of (generator index 1..n, sign), freely reduced
-FreeWord = tuple[tuple[int, int], ...]
-
-
-def free_reduce(letters: Iterable[tuple[int, int]]) -> FreeWord:
-    """Cancel adjacent inverse pairs; the result is the unique reduced form."""
-    stack: list[tuple[int, int]] = []
-    for gen, sign in letters:
-        if stack and stack[-1][0] == gen and stack[-1][1] == -sign:
-            stack.pop()
-        else:
-            stack.append((gen, sign))
-    return tuple(stack)
-
-
-def free_mul(*words: FreeWord) -> FreeWord:
-    return free_reduce(itertools.chain.from_iterable(words))
-
-
-def free_inv(word: FreeWord) -> FreeWord:
-    return tuple((gen, -sign) for gen, sign in reversed(word))
 
 
 class BraidWord:
@@ -133,65 +118,279 @@ class BraidWord:
         return f"BraidWord({self.strands}, {self.to_ints()})"
 
 
-def _join(u: FreeWord, u_inv: FreeWord, v: FreeWord, v_inv: FreeWord):
-    """The reduced product u v and its inverse, for reduced u and v.
+# A normal form is (k, (A_1, .., A_r)) for Delta^k A_1 .. A_r.  A simple
+# factor is the one-line tuple p of a permutation of 0 .. n-1, and the
+# positive word s_i1 .. s_im is the composite s_i1 o .. o s_im, where s_i
+# exchanges i-1 and i.  So p s_i exchanges the entries at positions i-1
+# and i, s_i p exchanges the values i-1 and i, and
+#   s_i divides p on the right  iff  p[i-1] > p[i],
+#   s_i divides p on the left   iff  value i stands before value i-1.
+NormalForm = tuple[int, tuple[tuple[int, ...], ...]]
 
-    Only the junction can cancel: the last k letters of u against the
-    first k of v, which are the last k letters of v^-1 inverted, so k is
-    the length of the longest common suffix of u and v^-1.
+# Left-weighted pairs of simple factors, for every strand count at once (a
+# factor's length is its strand count).  Cleared when it would hold about
+# this many permutation entries, so it stays a few MiB at any strand count.
+_WEIGHTED: dict[tuple[tuple, tuple], tuple[tuple, tuple]] = {}
+_WEIGHTED_ENTRIES = 1 << 18
+
+
+def _perm_inverse(p: Sequence[int]) -> list[int]:
+    q = [0] * len(p)
+    for j, x in enumerate(p):
+        q[x] = j
+    return q
+
+
+def _run(start: int, end: int, kinds: int) -> list[int]:
+    return list(range(start, end)) if kinds & 3 else list(range(end - 1, start - 1, -1))
+
+
+def _merge(low: list[int], high: list[int], pa: list[int], pb: list[int]) -> list[int]:
+    """Merge the meet's orders of two adjacent label ranges (see
+    ``_LeftNormalForms._meet``); ``pa`` and ``pb`` give each label's
+    position in the two factors.
+
+    A label of ``high`` passes the last t labels of ``low`` when it and
+    every label before it in ``high`` stand before all of them in both
+    factors.  So the output alternates blocks of ``high`` and ``low``,
+    and each block end is found by bisection in running extrema.
     """
-    k = 0
-    if u and v and u[-1] == v_inv[-1]:
-        agree = map(operator.eq, reversed(u), reversed(v_inv))
-        k = len(list(itertools.takewhile(bool, agree)))
-    return u[: len(u) - k] + v[k:], v_inv[: len(v) - k] + u_inv[k:]
+    if pa[high[0]] > pa[low[-1]] or pb[high[0]] > pb[low[-1]]:
+        return low + high
+    if max(map(pa.__getitem__, high)) < min(map(pa.__getitem__, low)) and max(
+        map(pb.__getitem__, high)
+    ) < min(map(pb.__getitem__, low)):
+        return high + low
+    # least positions among the last t labels of low, t = 1, 2, ..
+    last_a = list(itertools.accumulate(map(pa.__getitem__, reversed(low)), min))
+    last_b = list(itertools.accumulate(map(pb.__getitem__, reversed(low)), min))
+    neg_a = list(map(operator.neg, last_a))
+    neg_b = list(map(operator.neg, last_b))
+    # greatest positions among the first j labels of high, j = 1, 2, ..
+    first_a = list(itertools.accumulate(map(pa.__getitem__, high), max))
+    first_b = list(itertools.accumulate(map(pb.__getitem__, high), max))
+    out, i, j = [], 0, 0
+    while i < len(low):
+        t = len(low) - i
+        passed = min(bisect_right(first_a, last_a[t - 1]), bisect_right(first_b, last_b[t - 1]))
+        out += high[j:passed]
+        j = passed
+        if j == len(high):
+            break
+        # high[j] passes the last t labels of low for t up to this
+        t = min(bisect_left(neg_a, -first_a[j]), bisect_left(neg_b, -first_b[j]))
+        out += low[i : len(low) - t]
+        i = len(low) - t
+    return out + low[i:] + high[j:]
 
 
-@lru_cache(maxsize=65536)
-def _artin_images(strands: int, letters: tuple, cap: int) -> tuple[FreeWord, ...]:
-    """Images of the free generators under the word's Artin action.
+class _LeftNormalForms:
+    """Left normal forms in the braid group on ``n`` strands."""
 
-    Processes letters left to right, maintaining the images of
-    x_1 .. x_n under the prefix read so far, each with its inverse; each
-    letter only rewrites the two neighbouring images.
-    """
-    images: list[FreeWord] = [((j, 1),) for j in range(1, strands + 1)]
-    inverses: list[FreeWord] = [((j, -1),) for j in range(1, strands + 1)]
-    for i, s in letters:
-        a, a_inv = images[i - 1], inverses[i - 1]
-        b, b_inv = images[i], inverses[i]
-        if s == 1:
-            # x_i -> a b a^-1, x_{i+1} -> a
-            ab, ab_inv = _join(a, a_inv, b, b_inv)
-            images[i - 1], inverses[i - 1] = _join(ab, ab_inv, a_inv, a)
-            images[i], inverses[i] = a, a_inv
-        else:
-            # x_i -> b, x_{i+1} -> b^-1 a b
-            images[i - 1], inverses[i - 1] = b, b_inv
-            ba, ba_inv = _join(b_inv, b, a, a_inv)
-            images[i], inverses[i] = _join(ba, ba_inv, b, b_inv)
-        if len(images[i - 1]) > cap or len(images[i]) > cap:
-            name = "WORD_CAP" if cap == WORD_CAP else "cap"
-            raise BudgetExceeded(
-                f"free-group image exceeded {name} = {cap} letters;"
-                " pass cap=N to raise it"
-            )
-    return tuple(images)
+    def __init__(self, n: int):
+        self.n = n
+        self.identity = tuple(range(n))
+        self.delta = self.identity[::-1]
+
+    def _tau(self, p: tuple) -> tuple:
+        """Delta^-1 p Delta, which maps s_i to s_{n-i}."""
+        top = self.n - 1
+        return tuple([top - x for x in reversed(p)])
+
+    @staticmethod
+    def _complement(p: tuple) -> tuple:
+        """p^-1 Delta, the simple factor completing p to Delta."""
+        return tuple(_perm_inverse(p)[::-1])
+
+    def _letter(self, i: int) -> tuple:
+        p = list(self.identity)
+        p[i - 1], p[i] = i, i - 1
+        return tuple(p)
+
+    def _meet(self, pa: list[int], pb: list[int]) -> tuple:
+        """The greatest common left divisor of two simple factors, given
+        the position of each label 0 .. n-1 in either.
+
+        Its order of the labels is a merge sort: a range of labels is
+        ordered as in the meet of the two factors cut down to those
+        strands, and a label r of the upper half goes before the last t
+        labels l of the lower half for the greatest t such that r stands
+        before each such l in both factors.  Ranges that one factor keeps
+        in order, or that both reverse, are ordered from the start, so
+        factors that differ from 1 or Delta on few strands take a few
+        linear passes.
+        """
+        # from label j - 1 to j: 1 kept in order by a, 2 by b, 3 by both,
+        # 0 reversed by both
+        steps = map(
+            operator.add,
+            map(operator.lt, pa, pa[1:]),
+            map(operator.mul, map(operator.lt, pb, pb[1:]), itertools.repeat(2)),
+        )
+        # kinds of the current range: 1 ascending in a, 2 in b, 4 reversed by both
+        runs, start, kinds, j = [], 0, 7, 1
+        for step, same in itertools.groupby(steps):
+            step = step or 4
+            if kinds & step:
+                kinds &= step
+            else:
+                runs.append(_run(start, j, kinds))
+                start, kinds = j, step
+            j += len(list(same))
+        runs.append(_run(start, self.n, kinds))
+        while len(runs) > 1:
+            runs = [
+                _merge(runs[i], runs[i + 1], pa, pb) if i + 1 < len(runs) else runs[i]
+                for i in range(0, len(runs), 2)
+            ]
+        return tuple(runs[0])
+
+    def _weight(self, x: tuple, y: tuple) -> tuple[tuple, tuple]:
+        """The left-weighted pair (x g, g^-1 y) for x y, where g, the
+        greatest common left divisor of y and x^-1 Delta, is the most of
+        y that x can take while staying simple."""
+        out = _WEIGHTED.get((x, y))
+        if out is not None:
+            return out
+        # label v stands at position n-1 - x[v] in x^-1 Delta
+        top = self.n - 1
+        g = self._meet([top - v for v in x], _perm_inverse(y))
+        g_inv = _perm_inverse(g)
+        out = (tuple(map(x.__getitem__, g)), tuple(map(g_inv.__getitem__, y)))
+        if len(_WEIGHTED) * self.n >= _WEIGHTED_ENTRIES:
+            _WEIGHTED.clear()
+        _WEIGHTED[(x, y)] = out
+        return out
+
+    def _append(self, k: int, factors: list, y: tuple) -> int:
+        """Multiply Delta^k factors on the right by the simple ``y`` in
+        place and return the new power of Delta.
+
+        One right-to-left pass of left-weighting restores the normal form;
+        it stops at the first pair whose left factor does not change.
+        """
+        if y == self.identity:
+            return k
+        if y == self.delta:
+            factors[:] = map(self._tau, factors)
+            return k + 1
+        factors.append(y)
+        j = len(factors) - 1
+        while j > 0:
+            x = factors[j - 1]
+            x2, y2 = self._weight(x, factors[j])
+            if x2 == x:
+                break
+            factors[j - 1], factors[j] = x2, y2
+            j -= 1
+        while factors and factors[-1] == self.identity:
+            factors.pop()
+        d = 0
+        while d < len(factors) and factors[d] == self.delta:
+            d += 1
+        del factors[:d]
+        return k + d
+
+    def from_letters(self, letters: Iterable[tuple[int, int]]) -> NormalForm:
+        """The normal form of a word, one simple factor per letter.
+
+        s_i^-1 is Delta^-1 tau(s_i^-1 Delta), and moving every Delta^-1 to
+        the front applies tau to the factors left of it; tau(s_i) is
+        s_{n-i} and tau(s_i^-1 Delta) is s_{n-i}^-1 Delta.
+        """
+        letters = tuple(letters)
+        n = self.n
+        right = sum(1 for _, s in letters if s < 0)
+        k, factors = -right, []
+        for i, s in letters:
+            if s < 0:
+                right -= 1
+            j = n - i if (right % 2 == 0) == (s < 0) else i
+            y = self._letter(j)
+            k = self._append(k, factors, y if s > 0 else self._complement(y))
+        return (k, tuple(factors))
+
+    def mul(self, a: NormalForm, b: NormalForm) -> NormalForm:
+        """Delta^k1 A Delta^k2 B = Delta^(k1+k2) tau^k2(A) B, then the
+        factors of B are appended one by one."""
+        (k1, left), (k2, right) = a, b
+        factors = list(map(self._tau, left)) if k2 % 2 else list(left)
+        k = k1 + k2
+        for y in right:
+            k = self._append(k, factors, y)
+        return (k, tuple(factors))
+
+    def inv(self, a: NormalForm) -> NormalForm:
+        """(Delta^k A_1 .. A_r)^-1 is Delta^(-k-r) B_r .. B_1, already in
+        normal form, with B_j = tau^(k+j)(A_j^-1 Delta)."""
+        k, factors = a
+        out = []
+        for j in range(len(factors), 0, -1):
+            c = self._complement(factors[j - 1])
+            out.append(self._tau(c) if (k + j) % 2 else c)
+        return (-k - len(factors), tuple(out))
+
+    def _positive_word(self, p: tuple) -> list[tuple[int, int]]:
+        """A shortest positive word for the simple factor p: sort p by
+        adjacent exchanges p -> p s_i and read them backwards."""
+        p, swaps, i = list(p), [], 1
+        while i < self.n:
+            if p[i - 1] > p[i]:
+                p[i - 1], p[i] = p[i], p[i - 1]
+                swaps.append((i, 1))
+                i = max(i - 1, 1)
+            else:
+                i += 1
+        return swaps[::-1]
+
+    def spell(self, form: NormalForm) -> tuple[tuple[int, int], ...]:
+        """A word for a normal form, with each Delta^-1 absorbed into the
+        factor after it: Delta^-m A_1 .. A_r with m <= r is the product
+        of the inverses of tau^(m-j)(A_j^-1 Delta) for j <= m, followed
+        by A_(m+1) .. A_r.  Only Delta powers beyond r are spelled whole."""
+        k, factors = form
+        if k >= 0:
+            out = self._positive_word(self.delta) * k if k else []
+            for a in factors:
+                out += self._positive_word(a)
+            return tuple(out)
+        m = min(-k, len(factors))
+        out = []
+        if -k > m:
+            out = [(i, -1) for i, _ in reversed(self._positive_word(self.delta))] * (-k - m)
+        for j, a in enumerate(factors):
+            if j >= m:
+                out += self._positive_word(a)
+                continue
+            c = self._complement(a)
+            if (m - 1 - j) % 2:
+                c = self._tau(c)
+            out += [(i, -1) for i, _ in reversed(self._positive_word(c))]
+        return tuple(out)
 
 
-def artin_images(word: BraidWord, cap: int | None = None) -> tuple[FreeWord, ...]:
-    """Canonical form of a braid word: the reduced images of x_1 .. x_n.
+def _check_size(form: NormalForm, cap: int | None) -> NormalForm:
+    """Raise when the normal form has more simple factors than the cap,
+    the Delta power counted; ``cap`` defaults to ``WORD_CAP`` at call time."""
+    limit = WORD_CAP if cap is None else cap
+    if abs(form[0]) + len(form[1]) > limit:
+        name = "WORD_CAP" if limit == WORD_CAP else "cap"
+        raise BudgetExceeded(
+            f"normal form exceeded {name} = {limit} simple factors;"
+            " pass cap=N to raise it"
+        )
+    return form
 
-    ``cap`` defaults to the module's ``WORD_CAP`` at call time.
-    """
-    return _artin_images(word.strands, word.letters, WORD_CAP if cap is None else cap)
+
+def _normal_form(word: BraidWord, cap: int | None) -> NormalForm:
+    return _check_size(_LeftNormalForms(word.strands).from_letters(word.letters), cap)
 
 
 def braid_equal(w1: BraidWord, w2: BraidWord, cap: int | None = None) -> bool:
-    """Exact equality in the braid group, via the faithful free action."""
+    """Exact equality in the braid group: the left normal forms agree."""
     if w1.strands != w2.strands:
         raise StrandMismatch(f"B_{w1.strands} vs B_{w2.strands}")
-    return artin_images(w1, cap) == artin_images(w2, cap)
+    return _normal_form(w1, cap) == _normal_form(w2, cap)
 
 
 class Factorization:
@@ -251,32 +450,49 @@ def _check_position(f: Factorization, i: int, top: int) -> None:
         )
 
 
+# The move formulas, written once for any representation of the factors:
+# words with concatenation, or the normal forms of an orbit enumeration.
+
+
+def _hurwitz(t: tuple, i: int, mul, inv) -> tuple:
+    """(.., a, b, ..) -> (.., a b a^-1, a, ..) at positions i, i + 1."""
+    a, b = t[i - 1], t[i]
+    return t[: i - 1] + (mul(mul(a, b), inv(a)), a) + t[i + 1 :]
+
+
+def _hurwitz_inverse(t: tuple, i: int, mul, inv) -> tuple:
+    """(.., a, b, ..) -> (.., b, b^-1 a b, ..) at positions i, i + 1."""
+    a, b = t[i - 1], t[i]
+    return t[: i - 1] + (b, mul(mul(inv(b), a), b)) + t[i + 1 :]
+
+
+def _conjugate(t: tuple, w, w_inv, mul) -> tuple:
+    return tuple(mul(mul(w, x), w_inv) for x in t)
+
+
 def hurwitz_move(f: Factorization, i: int) -> Factorization:
     """(.., t_i, t_{i+1}, ..) -> (.., t_i t_{i+1} t_i^-1, t_i, ..)."""
     _check_position(f, i, len(f) - 1)
-    t = list(f.factors)
-    a, b = t[i - 1], t[i]
-    t[i - 1] = a * b * a.inverse()
-    t[i] = a
-    return Factorization(f.strands, t)
+    return Factorization(
+        f.strands, _hurwitz(f.factors, i, operator.mul, BraidWord.inverse)
+    )
 
 
 def hurwitz_move_inverse(f: Factorization, i: int) -> Factorization:
     """(.., t_i, t_{i+1}, ..) -> (.., t_{i+1}, t_{i+1}^-1 t_i t_{i+1}, ..)."""
     _check_position(f, i, len(f) - 1)
-    t = list(f.factors)
-    a, b = t[i - 1], t[i]
-    t[i - 1] = b
-    t[i] = b.inverse() * a * b
-    return Factorization(f.strands, t)
+    return Factorization(
+        f.strands, _hurwitz_inverse(f.factors, i, operator.mul, BraidWord.inverse)
+    )
 
 
 def simultaneous_conjugation(f: Factorization, w: BraidWord) -> Factorization:
     """Conjugate every factor by ``w``; the product is conjugated too."""
     if w.strands != f.strands:
         raise StrandMismatch(f"B_{w.strands} vs B_{f.strands}")
-    wi = w.inverse()
-    return Factorization(f.strands, [w * t * wi for t in f.factors])
+    return Factorization(
+        f.strands, _conjugate(f.factors, w, w.inverse(), operator.mul)
+    )
 
 
 def _node_pair(strands: int, u: BraidWord) -> tuple[BraidWord, BraidWord]:
@@ -321,21 +537,76 @@ def node_pair_move(
 
 
 def canonical_key(f: Factorization, cap: int | None = None) -> tuple:
-    """Hashable canonical form: the Artin-image tuple of every factor."""
-    return tuple(artin_images(w, cap) for w in f.factors)
+    """Hashable canonical form: the left normal form of every factor."""
+    return tuple(_normal_form(w, cap) for w in f.factors)
+
+
+class _OrbitForms:
+    """The distinct normal forms met by one orbit enumeration, numbered
+    in order of appearance.  States are tuples of these numbers, and
+    products and inverses are memoised on them, so each is computed once
+    per enumeration; every new form is checked against the cap."""
+
+    def __init__(self, strands: int, cap: int | None):
+        self.strands = strands
+        self.cap = cap
+        self.algebra = _LeftNormalForms(strands)
+        self.forms: list[NormalForm] = []
+        self._ids: dict[NormalForm, int] = {}
+        self._products: dict[tuple[int, int], int] = {}
+        self._inverses: dict[int, int] = {}
+
+    def intern(self, form: NormalForm) -> int:
+        i = self._ids.get(form)
+        if i is None:
+            _check_size(form, self.cap)
+            i = self._ids[form] = len(self.forms)
+            self.forms.append(form)
+        return i
+
+    def word(self, w: BraidWord) -> int:
+        return self.intern(self.algebra.from_letters(w.letters))
+
+    def mul(self, a: int, b: int) -> int:
+        out = self._products.get((a, b))
+        if out is None:
+            out = self.intern(self.algebra.mul(self.forms[a], self.forms[b]))
+            self._products[(a, b)] = out
+        return out
+
+    def inv(self, a: int) -> int:
+        out = self._inverses.get(a)
+        if out is None:
+            out = self._inverses[a] = self.intern(self.algebra.inv(self.forms[a]))
+        return out
 
 
 class OrbitResult:
     """Orbit states (as representative factorizations) plus an
     exhaustion flag; ``exhausted`` is False when the state budget
-    truncated the enumeration."""
+    truncated the enumeration.
+
+    ``keys`` are the states' canonical keys in sorted order, and each
+    representative is spelled from its key's normal forms; within one
+    orbit, equal normal forms share one :class:`BraidWord`."""
 
     __slots__ = ("factorizations", "keys", "exhausted")
 
-    def __init__(self, reps: dict[tuple, Factorization], exhausted: bool):
-        ordered = sorted(reps)
-        self.keys = ordered
-        self.factorizations = [reps[k] for k in ordered]
+    def __init__(self, forms: _OrbitForms, states: Iterable[tuple], exhausted: bool):
+        ordered = sorted((tuple(forms.forms[i] for i in s), s) for s in states)
+        words: dict[int, BraidWord] = {}
+
+        def word(i: int) -> BraidWord:
+            w = words.get(i)
+            if w is None:
+                letters = forms.algebra.spell(forms.forms[i])
+                w = words[i] = BraidWord._raw(forms.strands, letters)
+            return w
+
+        self.keys = [key for key, _ in ordered]
+        self.factorizations = [
+            Factorization(forms.strands, [word(i) for i in s]) for _, s in ordered
+        ]
         self.exhausted = exhausted
 
     def __len__(self) -> int:
@@ -345,37 +616,29 @@ class OrbitResult:
         return f"<OrbitResult: {len(self)} states, exhausted={self.exhausted}>"
 
 
-def _orbit(
-    f: Factorization,
-    budget: int,
-    moves,
-    cap: int | None,
-) -> OrbitResult:
+def _orbit(f: Factorization, forms: _OrbitForms, budget: int, moves) -> OrbitResult:
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    start = canonical_key(f, cap)
-    reps = {start: f}
-    queue = deque([f])
-    exhausted = True
+    start = tuple(map(forms.intern, canonical_key(f, forms.cap)))
+    seen = {start}
+    queue = deque([start])
     while queue:
-        cur = queue.popleft()
-        for nxt in moves(cur):
-            key = canonical_key(nxt, cap)
-            if key in reps:
+        for nxt in moves(queue.popleft()):
+            if nxt in seen:
                 continue
-            if len(reps) >= budget:
-                return OrbitResult(reps, exhausted=False)
-            reps[key] = nxt
+            if len(seen) >= budget:
+                return OrbitResult(forms, seen, exhausted=False)
+            seen.add(nxt)
             queue.append(nxt)
-    return OrbitResult(reps, exhausted)
+    return OrbitResult(forms, seen, exhausted=True)
 
 
-def _hurwitz_moves(cur: Factorization) -> list[Factorization]:
+def _hurwitz_moves(cur: tuple, forms: _OrbitForms) -> list[tuple]:
     """Each Hurwitz move, then its inverse, at positions 1, 2, ..."""
     out = []
     for i in range(1, len(cur)):
-        out.append(hurwitz_move(cur, i))
-        out.append(hurwitz_move_inverse(cur, i))
+        out.append(_hurwitz(cur, i, forms.mul, forms.inv))
+        out.append(_hurwitz_inverse(cur, i, forms.mul, forms.inv))
     return out
 
 
@@ -392,11 +655,13 @@ def hurwitz_orbit(
     move generation order; the resulting state set must not change (used
     to test order independence).
     """
-    def moves(cur: Factorization):
-        out = _hurwitz_moves(cur)
+    forms = _OrbitForms(f.strands, cap)
+
+    def moves(cur: tuple):
+        out = _hurwitz_moves(cur, forms)
         return reversed(out) if reverse_moves else out
 
-    return _orbit(f, budget, moves, cap)
+    return _orbit(f, forms, budget, moves)
 
 
 def _words_up_to(strands: int, max_len: int) -> list[BraidWord]:
@@ -421,25 +686,28 @@ def m_equivalence_orbit(
     The move set is infinite in principle, so this only ever produces a
     bounded certificate: states reachable within the budget.
     """
-    conjugators = _words_up_to(f.strands, conjugator_cap)
+    forms = _OrbitForms(f.strands, cap)
     gens = [
-        BraidWord.generator(f.strands, i, s)
+        forms.word(BraidWord.generator(f.strands, i, s))
         for i in range(1, f.strands)
         for s in (1, -1)
     ]
+    gens = [(g, forms.inv(g)) for g in gens]
+    pairs = [
+        tuple(map(forms.word, _node_pair(f.strands, u)))
+        for u in _words_up_to(f.strands, conjugator_cap)
+    ]
 
-    def moves(cur: Factorization):
-        out = _hurwitz_moves(cur)
-        for g in gens:
-            out.append(simultaneous_conjugation(cur, g))
-        for u in conjugators:
-            for i in range(1, len(cur) + 2):
-                out.append(node_pair_move(cur, i, u, "create"))
-            for i in range(1, len(cur)):
-                try:
-                    out.append(node_pair_move(cur, i, u, "cancel", cap))
-                except CancelMismatch:
-                    pass
+    def moves(cur: tuple):
+        out = _hurwitz_moves(cur, forms)
+        for g, g_inv in gens:
+            out.append(_conjugate(cur, g, g_inv, forms.mul))
+        for pair in pairs:
+            for i in range(len(cur) + 1):
+                out.append(cur[:i] + pair + cur[i:])
+            for i in range(len(cur) - 1):
+                if cur[i : i + 2] == pair:
+                    out.append(cur[:i] + cur[i + 2 :])
         return out
 
-    return _orbit(f, budget, moves, cap)
+    return _orbit(f, forms, budget, moves)

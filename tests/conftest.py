@@ -139,3 +139,89 @@ def no_large_closure(monkeypatch):
         return close(generators, name=name, bound=bound)
 
     monkeypatch.setattr(catalog, "close", guarded)
+
+
+# ------------------------------------------------------------------ braids
+
+
+def _free_reduce(letters):
+    stack = []
+    for gen, sign in letters:
+        if stack and stack[-1] == (gen, -sign):
+            stack.pop()
+        else:
+            stack.append((gen, sign))
+    return tuple(stack)
+
+
+def _free_inverse(word):
+    return tuple((gen, -sign) for gen, sign in reversed(word))
+
+
+def artin_images(strands, letters):
+    """The faithful Artin action on the free group of rank ``strands``,
+
+        sigma_i :  x_i -> x_i x_{i+1} x_i^-1,   x_{i+1} -> x_i,
+
+    read letter by letter, each image reduced from scratch: the images of
+    x_1 .. x_n, equal for two words exactly when the braids are equal."""
+    images = [((j, 1),) for j in range(1, strands + 1)]
+    for i, s in letters:
+        a, b = images[i - 1], images[i]
+        if s == 1:
+            images[i - 1], images[i] = _free_reduce(a + b + _free_inverse(a)), a
+        else:
+            images[i - 1], images[i] = b, _free_reduce(_free_inverse(b) + a + b)
+    return tuple(images)
+
+
+def naive_orbit(strands, factors, budget, full_moves=False):
+    """Breadth-first orbit of a factorization, given as lists of signed
+    integers, on literal words keyed by their Artin images: Hurwitz moves
+    and, with ``full_moves``, conjugation by each generator and node pairs
+    (u s1^2 u^-1, u s1^-2 u^-1) for u of length at most 1, generated in
+    the library's order.  Returns the set of keys and the exhaustion flag."""
+    images = {}
+
+    def key(state):
+        for w in state:
+            if w not in images:
+                images[w] = artin_images(strands, w)
+        return tuple(images[w] for w in state)
+
+    letters = [((i, s),) for i in range(1, strands) for s in (1, -1)]
+    conjugators = [()] + letters
+    pairs = [
+        (u + ((1, 1), (1, 1)) + _free_inverse(u), u + ((1, -1), (1, -1)) + _free_inverse(u))
+        for u in conjugators
+    ]
+
+    def moves(t):
+        for i in range(1, len(t)):
+            a, b = t[i - 1], t[i]
+            yield t[: i - 1] + (a + b + _free_inverse(a), a) + t[i + 1 :]
+            yield t[: i - 1] + (b, _free_inverse(b) + a + b) + t[i + 1 :]
+        if not full_moves:
+            return
+        for g in letters:
+            yield tuple(g + w + _free_inverse(g) for w in t)
+        for pos, neg in pairs:
+            for i in range(len(t) + 1):
+                yield t[:i] + (pos, neg) + t[i:]
+            for i in range(len(t) - 1):
+                if key(t[i : i + 2]) == key((pos, neg)):
+                    yield t[:i] + t[i + 2 :]
+
+    start = tuple(tuple((abs(v), 1 if v > 0 else -1) for v in f) for f in factors)
+    seen = {key(start)}
+    queue = [start]
+    for cur in queue:
+        for nxt in moves(cur):
+            k = key(nxt)
+            if k in seen:
+                continue
+            if len(seen) >= budget:
+                return seen, False
+            seen.add(k)
+            queue.append(nxt)
+    return seen, True

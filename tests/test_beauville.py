@@ -252,6 +252,49 @@ class TestCountStructures:
         assert count_structures(G) == count_structures(G, stop_at_first=True) == 0
 
 
+class TestAbelianRankCut:
+    @pytest.mark.parametrize("name", ["C2xC2xC2", "C3xC3xC3xC2", "C5xC5xC5"])
+    def test_groups_needing_three_generators_are_not_walked(self, name, monkeypatch):
+        from surfmoduli import beauville
+        from surfmoduli.groups import PermGroup
+
+        G = catalog.builtin(name)
+        expected = {flag: len(search(G, stop_at_first=flag)) for flag in (False, True)}
+        calls = Counter()
+        generates_pair = PermGroup.generates_pair
+
+        def counted_generates_pair(self, a, b):
+            calls["generates_pair"] += 1
+            return generates_pair(self, a, b)
+
+        def counted_candidates(group):
+            for candidate in _orbit_candidates(group):
+                calls["candidates"] += 1
+                yield candidate
+
+        monkeypatch.setattr(PermGroup, "generates_pair", counted_generates_pair)
+        monkeypatch.setattr(beauville, "_orbit_candidates", counted_candidates)
+        for flag in (False, True):
+            assert count_structures(G, stop_at_first=flag) == expected[flag]
+        assert calls == Counter()
+
+    def test_two_generated_groups_are_still_walked(self, monkeypatch):
+        # C7xC7xC2 is C7 x C14: 49 elements with x^7 = 1 and 2 with x^2 = 1
+        from surfmoduli import beauville
+
+        G = catalog.builtin("C7xC7xC2")
+        walked = []
+
+        def counted_candidates(group):
+            for candidate in _orbit_candidates(group):
+                walked.append(candidate)
+                yield candidate
+
+        monkeypatch.setattr(beauville, "_orbit_candidates", counted_candidates)
+        assert count_structures(G) == len(search(G)) == 0
+        assert walked
+
+
 class TestScan:
     def test_cyclic_groups_all_no(self):
         rows = scan([catalog.cyclic(n) for n in (5, 7, 30, 60)])

@@ -1,19 +1,17 @@
 """Braid word problem, factorization moves, orbit enumeration."""
 
 import random
+import time
 
 import pytest
 
+from conftest import artin_images, naive_orbit
 from surfmoduli import braids
 from surfmoduli.braids import (
     BraidWord,
     Factorization,
-    artin_images,
     braid_equal,
     canonical_key,
-    free_inv,
-    free_mul,
-    free_reduce,
     hurwitz_move,
     hurwitz_move_inverse,
     hurwitz_orbit,
@@ -30,6 +28,7 @@ from surfmoduli.errors import (
 )
 
 W = BraidWord.from_ints
+F = Factorization.from_ints
 
 
 def random_word(rng, strands, max_len=8):
@@ -62,16 +61,6 @@ def factorwise_equal(f, g):
     )
 
 
-class TestFreeWords:
-    def test_reduction(self):
-        assert free_reduce([(1, 1), (1, -1)]) == ()
-        assert free_reduce([(1, 1), (2, 1), (2, -1), (1, 1)]) == ((1, 1), (1, 1))
-
-    def test_mul_inv(self):
-        w = ((1, 1), (2, -1))
-        assert free_mul(w, free_inv(w)) == ()
-
-
 class TestBraidEqual:
     def test_braid_relation_all_n(self):
         for n in range(3, 6):
@@ -92,7 +81,7 @@ class TestBraidEqual:
         # faithfulness smoke test
         for n in range(2, 6):
             assert not braid_equal(W(n, [1]), W(n, [-1]))
-            assert artin_images(W(n, [1])) != artin_images(W(n, [-1]))
+            assert canonical_key(F(n, [[1]])) != canonical_key(F(n, [[-1]]))
 
     def test_strand_mismatch(self):
         with pytest.raises(StrandMismatch):
@@ -116,55 +105,95 @@ class TestBraidEqual:
             assert braid_equal(w * u, w * v)
 
     def test_word_cap(self):
-        # powers of s1 s2^-1 have exponentially growing images
-        w = W(3, [1, -2] * 20)
+        # s1^200 in B3 has one simple factor per letter
+        w = W(3, [1] * 200)
+        assert canonical_key(F(3, [[1] * 200]), cap=200)[0] == (0, ((1, 0, 2),) * 200)
         with pytest.raises(BudgetExceeded):
-            artin_images(w, cap=100)
+            braid_equal(w, w, cap=199)
+        # the Delta power is counted: s1^-3 s2^-3 is Delta^-5 times 5 factors
+        v = W(3, [-1] * 3 + [-2] * 3)
+        k, factors = canonical_key(Factorization(3, [v]))[0]
+        assert (k, len(factors)) == (-5, 5)
+        assert braid_equal(v, v, cap=10)
+        with pytest.raises(BudgetExceeded):
+            braid_equal(v, v, cap=9)
 
     def test_word_cap_message_names_the_cap_and_how_to_raise_it(self):
-        w = W(3, [1, -2] * 20)
-        with pytest.raises(BudgetExceeded, match=r"exceeded cap = 100 letters; pass cap=N "):
-            artin_images(w, cap=100)
-        with pytest.raises(BudgetExceeded, match=r"exceeded WORD_CAP = 10000 letters; pass cap=N "):
-            artin_images(w)
+        w = W(3, [1] * 200)
+        with pytest.raises(
+            BudgetExceeded, match=r"exceeded cap = 199 simple factors; pass cap=N "
+        ):
+            braid_equal(w, w, cap=199)
+        w = W(3, [1] * 10_001)
+        with pytest.raises(
+            BudgetExceeded, match=r"exceeded WORD_CAP = 10000 simple factors; pass cap=N "
+        ):
+            braid_equal(w, w)
 
     def test_module_word_cap_is_read_at_call_time(self, monkeypatch):
+        # (s1 s2^-1)^6 is Delta^-6 times 12 simple factors
         w = W(3, [1, -2] * 6)
-        images = artin_images(w)
-        assert max(len(x) for x in images) == 465
-        monkeypatch.setattr(braids, "WORD_CAP", 100)
-        with pytest.raises(BudgetExceeded, match=r"WORD_CAP = 100 letters"):
-            artin_images(w)
-        with pytest.raises(BudgetExceeded, match=r"WORD_CAP = 100 letters"):
+        k, factors = canonical_key(Factorization(3, [w]))[0]
+        assert abs(k) + len(factors) == 18
+        monkeypatch.setattr(braids, "WORD_CAP", 17)
+        with pytest.raises(BudgetExceeded, match=r"WORD_CAP = 17 simple factors"):
+            braid_equal(w, w)
+        with pytest.raises(BudgetExceeded, match=r"WORD_CAP = 17 simple factors"):
             hurwitz_orbit(Factorization(3, [w, W(3, [1])]), budget=10)
-        assert artin_images(w, cap=465) == images
+        assert braid_equal(w, w, cap=18)
+        assert len(hurwitz_orbit(Factorization(3, [w, W(3, [1])]), budget=10, cap=10**4)) == 10
+
+    def test_cap_raises_exactly_above_the_factor_count(self):
+        for w in cancelling_corpus(607, 200):
+            k, factors = canonical_key(Factorization(w.strands, [w]), cap=10**6)[0]
+            size = abs(k) + len(factors)
+            assert braid_equal(w, w, cap=size)
+            with pytest.raises(BudgetExceeded):
+                braid_equal(w, w, cap=size - 1)
+
+    def test_b30_words_are_compared_without_permutation_tables(self):
+        # nothing of size 30! may be built: 40-letter words in B_30 and an
+        # equal variant with relators spliced in compare at once
+        rng = random.Random(30)
+        w = BraidWord(30, [(rng.randint(1, 29), rng.choice((1, -1))) for _ in range(40)])
+        v = equal_variant(rng, w)
+        u = BraidWord(30, w.letters[:-1] + ((w.letters[-1][0], -w.letters[-1][1]),))
+        started = time.perf_counter()
+        assert braid_equal(w, v)
+        assert not braid_equal(w, u)
+        assert time.perf_counter() - started < 0.5
+        # the oracle agrees that the variant is the same braid
+        assert artin_images(30, w.letters) == artin_images(30, v.letters)
 
 
-def reference_images(word, cap):
-    """Artin images letter by letter, each product reduced from scratch by
-    free_reduce; None when some image passes ``cap`` after some letter."""
-    def inv(u):
-        return tuple((g, -e) for g, e in reversed(u))
-
-    images = [((j, 1),) for j in range(1, word.strands + 1)]
-    for i, s in word.letters:
-        a, b = images[i - 1], images[i]
-        if s == 1:
-            images[i - 1], images[i] = free_reduce(a + b + inv(a)), a
-        else:
-            images[i - 1], images[i] = b, free_reduce(inv(b) + a + b)
-        if len(images[i - 1]) > cap or len(images[i]) > cap:
-            return None
-    return tuple(images)
+def equal_variant(rng, w):
+    """A word equal to ``w`` in the braid group: a cancelling pair, a braid
+    relator or a far-commutation relator, conjugated by a random word,
+    spliced in at a random place."""
+    n = w.strands
+    i = rng.randint(1, n - 1)
+    e = rng.choice((1, -1))
+    kinds = [((i, e), (i, -e))]
+    if i + 1 < n:
+        # s_i s_{i+1} s_i (s_{i+1} s_i s_{i+1})^-1
+        kinds.append(((i, 1), (i + 1, 1), (i, 1), (i + 1, -1), (i, -1), (i + 1, -1)))
+    if i + 2 < n:
+        j = rng.randint(i + 2, n - 1)
+        kinds.append(((i, e), (j, 1), (i, -e), (j, -1)))
+    relator = rng.choice(kinds)
+    u = random_word(rng, n, max_len=3).letters
+    spot = rng.randint(0, len(w.letters))
+    inner = u + relator + BraidWord(n, u).inverse().letters
+    return BraidWord(n, w.letters[:spot] + inner + w.letters[spot:])
 
 
 def cancelling_corpus(seed, count):
-    """Seeded B3/B4 words: plain words, conjugates u w u^-1, and words
+    """Seeded B2-B5 words: plain words, conjugates u w u^-1, and words
     followed by their own inverse, whose images cancel heavily."""
     rng = random.Random(seed)
     out = []
     for k in range(count):
-        n = rng.choice((3, 4))
+        n = rng.choice((2, 3, 4, 5))
         w = random_word(rng, n, max_len=10)
         if k % 3 == 1:
             u = random_word(rng, n, max_len=8)
@@ -176,29 +205,20 @@ def cancelling_corpus(seed, count):
 
 
 class TestArtinAction:
-    def test_matches_letter_by_letter_reference(self):
-        corpus = cancelling_corpus(606, 300)
-        longest = 0
-        for w in corpus:
-            want = reference_images(w, cap=10**9)
-            assert artin_images(w) == want, w
-            longest = max(longest, max(len(x) for x in want))
-        # the corpus reaches long images, not only short ones
-        assert longest > 200
+    """Normal-form equality against the free-group action of conftest."""
 
-    def test_cap_raises_on_the_same_inputs_as_the_reference(self):
-        corpus = cancelling_corpus(607, 200)
-        raised = 0
-        for w in corpus:
-            for cap in (8, 40):
-                want = reference_images(w, cap)
-                if want is None:
-                    raised += 1
-                    with pytest.raises(BudgetExceeded):
-                        artin_images(w, cap=cap)
-                else:
-                    assert artin_images(w, cap=cap) == want
-        assert 0 < raised < 2 * len(corpus)
+    def test_matches_letter_by_letter_reference(self):
+        rng = random.Random(606)
+        equal = unequal = 0
+        for w in cancelling_corpus(606, 300):
+            n = w.strands
+            for v in (equal_variant(rng, w), random_word(rng, n, max_len=10), w * W(n, [1])):
+                want = artin_images(n, w.letters) == artin_images(n, v.letters)
+                assert braid_equal(w, v) is want, (w, v)
+                equal += want
+                unequal += not want
+        # both answers occur often, and the equal pairs are not literal copies
+        assert equal >= 300 and unequal >= 300
 
 
 class TestValidation:
@@ -315,11 +335,11 @@ class TestNodePairs:
             node_pair_move(f, 1, BraidWord.identity(2), "cancel")
 
     def test_cancel_check_takes_the_cap(self, monkeypatch):
-        # the images of the node pair of u = (s1 s2^-1)^2 pass 20 letters
-        monkeypatch.setattr(braids, "WORD_CAP", 20)
+        # the node pair of u = (s1 s2^-1)^2 has 13 and 14 simple factors
+        monkeypatch.setattr(braids, "WORD_CAP", 12)
         f = node_pair_of(W(3, [1, -2, 1, -2]))
         e = BraidWord.identity(3)
-        with pytest.raises(BudgetExceeded, match=r"WORD_CAP = 20 letters"):
+        with pytest.raises(BudgetExceeded, match=r"WORD_CAP = 12 simple factors"):
             node_pair_move(f, 1, e, "cancel")
         with pytest.raises(CancelMismatch):
             node_pair_move(f, 1, e, "cancel", cap=10**4)
@@ -362,8 +382,10 @@ class TestOrbits:
             assert fwd.keys == rev.keys
 
     def test_m_equivalence_orbit_passes_its_cap_to_cancellation(self, monkeypatch):
-        monkeypatch.setattr(braids, "WORD_CAP", 20)
+        monkeypatch.setattr(braids, "WORD_CAP", 12)
         f = node_pair_of(W(3, [1, -2, 1, -2]))
+        with pytest.raises(BudgetExceeded, match=r"WORD_CAP = 12 "):
+            m_equivalence_orbit(f, budget=5)
         orbit = m_equivalence_orbit(f, budget=5, cap=10**4)
         assert len(orbit) == 5
 
@@ -371,3 +393,46 @@ class TestOrbits:
         f = Factorization.from_ints(2, [[1]])
         orbit = m_equivalence_orbit(f, budget=10, conjugator_cap=1)
         assert len(orbit) == 10 and not orbit.exhausted
+
+    @pytest.mark.parametrize(
+        "strands, factors, budget, full_moves",
+        [
+            (3, [[1], [1], [2], [2]], 200, False),
+            (4, [[1], [2], [3]], 10_000, False),
+            (3, [[1], [2], [1], [2]], 10_000, False),
+            (3, [[1], [2]], 3000, True),
+        ],
+    )
+    def test_benchmark_orbits_match_the_oracle(self, strands, factors, budget, full_moves):
+        f = F(strands, factors)
+        if full_moves:
+            orbit = m_equivalence_orbit(f, budget=budget)
+        else:
+            orbit = hurwitz_orbit(f, budget=budget)
+        want, exhausted = naive_orbit(strands, factors, budget, full_moves)
+        got = {
+            tuple(artin_images(strands, w.letters) for w in g.factors)
+            for g in orbit.factorizations
+        }
+        assert got == want
+        assert len(orbit) == len(want) and orbit.exhausted is exhausted
+
+    def test_b3_orbit_passes_budget_500_under_the_default_cap(self):
+        orbit = hurwitz_orbit(F(3, [[1], [1], [2], [2]]), budget=500)
+        assert len(orbit) == 500 and not orbit.exhausted
+
+    def test_representatives_are_spelled_from_their_keys(self):
+        orbit = m_equivalence_orbit(F(3, [[1], [2]]), budget=300)
+        words = {}
+        for key, g in zip(orbit.keys, orbit.factorizations):
+            assert canonical_key(g) == key
+            for form, w in zip(key, g.factors):
+                # one shared word per distinct normal form
+                assert words.setdefault(form, w) is w
+        assert orbit.keys == sorted(orbit.keys)
+
+    def test_negative_delta_power_is_absorbed_into_the_factors(self):
+        # s1 s2 s1^-1 is Delta^-1 A1 A2, spelled as (A1^-1 Delta)^-1 A2
+        orbit = hurwitz_orbit(F(3, [[1], [2]]), budget=10)
+        lengths = sorted(len(w) for g in orbit.factorizations for w in g.factors)
+        assert lengths == [1, 1, 1, 1, 3, 3]
