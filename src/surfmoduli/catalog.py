@@ -164,11 +164,22 @@ _ATOMS = {
 }
 
 
-def _atom(token: str) -> PermGroup:
+class _NotABuiltinName(ValueError):
+    """A name that does not parse as a builtin group name."""
+
+
+def _number(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError as exc:  # more digits than int() converts
+        raise _NotABuiltinName(str(exc)) from None
+
+
+def _atom(token: str):
     m = re.fullmatch(r"([CDSA])(\d+)", token)
     if not m:
-        raise ValueError(f"unknown group name component {token!r}")
-    return _ATOMS[m.group(1)](int(m.group(2)))
+        raise _NotABuiltinName(f"unknown group name component {token!r}")
+    return _ATOMS[m.group(1)], _number(m.group(2))
 
 
 def builtin(name: str) -> PermGroup:
@@ -176,17 +187,16 @@ def builtin(name: str) -> PermGroup:
     token = name.strip()
     m = re.fullmatch(r"EA(\d+)x(\d+)", token)
     if m:
-        p, q = int(m.group(1)), int(m.group(2))
+        p, q = _number(m.group(1)), _number(m.group(2))
         if p != q:
-            raise ValueError(f"{token!r}: only square elementary abelians")
+            raise ValueError("only square elementary abelians EA<p>x<p> are builtin")
         return elementary_abelian(p)
     m = re.fullmatch(r"PSL2_(\d+)", token)
     if m:
-        return psl2(int(m.group(1)))
-    parts = token.split("x")
-    if len(parts) == 1:
-        return _atom(parts[0])
-    return direct_product(*(_atom(t) for t in parts), name=token)
+        return psl2(_number(m.group(1)))
+    atoms = [_atom(t) for t in token.split("x")]  # the whole name parses first
+    factors = [make(n) for make, n in atoms]
+    return factors[0] if len(factors) == 1 else direct_product(*factors, name=token)
 
 
 def from_file(path: Union[str, Path]) -> PermGroup:
@@ -232,17 +242,20 @@ def to_file(group: PermGroup, path: Union[str, Path]) -> None:
 
 
 def resolve(ref: str) -> PermGroup:
-    """Resolve a group reference: a builtin name, else a file path."""
+    """Resolve a group reference: a builtin name, else a file path.  A
+    refused builtin name, with no such file, fails with the refusal."""
     try:
         return builtin(ref)
-    except ValueError:
+    except ValueError as exc:
         try:
             is_file = Path(ref).is_file()
         except OSError:  # e.g. a name too long for the file system
             is_file = False
         if is_file:
             return from_file(ref)
-        raise ValueError(f"{ref!r} is neither a builtin group name nor a file")
+        if isinstance(exc, _NotABuiltinName):
+            raise ValueError(f"{ref!r} is neither a builtin group name nor a file") from None
+        raise ValueError(f"{ref!r} is not a file and not a valid builtin group: {exc}") from None
 
 
 def _partitions(n: int) -> Iterable[tuple[int, ...]]:

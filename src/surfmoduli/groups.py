@@ -9,13 +9,13 @@ floating point and no randomness.  All public types are immutable after
 construction and safe to share between workers.
 
 Inside the searches an element is its index in ``G.elements``.  The
-product table is the regular action of G on those indices, stored by
-columns: column ``y`` holds the index of ``x * y`` for every ``x``.  It is
-derived from the Cayley graph, not from permutation products, filled one
-column at a time on first use and kept (see :class:`_ProductTable`).
-Generation tests, triple enumeration, least conjugators and automorphisms
-run on these columns; :class:`Permutation` objects appear only at
-construction, input and output.
+closure keeps the Cayley graph it walks and its breadth-first tree: the
+regular action of G on those indices, held as a product table by columns
+(see :class:`_ProductTable`).  Classes, the centre transversal, normal
+closures, generation tests, triple enumeration, least conjugators and
+automorphisms all read these index arrays.  After construction only
+:attr:`PermGroup.is_abelian` multiplies :class:`Permutation` objects;
+they are otherwise read for inverses and element orders, and at I/O.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import operator
 from array import array
+from collections import Counter
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -175,23 +176,29 @@ class ConjugacyClass:
         return f"ConjugacyClass({self.representative!r}, size={len(self.elements)})"
 
 
-def _mulclose(generators: Sequence[Permutation], bound: int):
+def _mulclose(generators: Sequence[Permutation], bound: int) -> "_ProductTable":
     """Breadth-first closure of ``generators`` under right multiplication.
 
-    Returns ``(elements, index)`` where ``elements`` is in deterministic
-    BFS order starting from the identity and ``index`` maps each element
-    to its position.  The closure holds order x degree image entries, so
-    it stops at ``bound`` elements or at ``ENTRY_BOUND`` entries.
+    Returns the group's product table: the elements in deterministic BFS
+    order from the identity, with the Cayley graph and tree the walk
+    records.  The closure holds order x degree image entries, so it stops at ``bound``
+    elements or at ``ENTRY_BOUND`` entries.
     """
     degree = generators[0].degree
     cap = min(bound, ENTRY_BOUND // degree)
     identity = Permutation.identity(degree)
     elements = [identity]
     index = {identity: 0}
-    for x in elements:
-        for g in generators:
-            y = x * g
-            if y not in index:
+    cayley: list[list[int]] = [[] for _ in generators]
+    parent, via = [0], [0]
+    # x * g gathers x's images at g's; degree 1 has only the identity
+    takes = [operator.itemgetter(*(j - 1 for j in g.images)) if degree > 1 else tuple
+             for g in generators]
+    for i, x in enumerate(elements):
+        for k, take in enumerate(takes):
+            y = Permutation._raw(take(x.images))
+            j = index.get(y)
+            if j is None:
                 if len(elements) >= cap:
                     if len(elements) < bound:
                         raise OrderBoundExceeded(
@@ -204,9 +211,12 @@ def _mulclose(generators: Sequence[Permutation], bound: int):
                         f"closure exceeded {name} = {bound} elements;"
                         " pass bound=N to close() to raise it"
                     )
-                index[y] = len(elements)
+                j = index[y] = len(elements)
                 elements.append(y)
-    return elements, index
+                parent.append(i)
+                via.append(k)
+            cayley[k].append(j)
+    return _ProductTable(tuple(elements), index, cayley, parent, via)
 
 
 def _typecode(order: int) -> str:
@@ -218,31 +228,24 @@ class _ProductTable:
     """The product table of a group on element indices, kept by columns.
 
     Column ``y`` holds the index of ``x * y`` for every index ``x``.  Let
-    ``y = p * g`` be the first edge into ``y`` of the breadth-first Cayley
-    graph (``p`` comes before ``y``).  Then ``x * y = (x * p) * g``, so
-    column ``y`` is the generator column of ``g`` read along column ``p``:
+    ``y = p * g`` be the first edge into ``y`` of the Cayley graph (p is
+    ``parent[y]``, g generator ``via[y]``).  Then ``x * y = (x * p) * g``,
+    so column ``y`` is the Cayley column of ``g`` read along column ``p``:
     one C-level pass, whatever the degree.  A column is filled on first
     use, with the unfilled columns on its path to the identity, and then
     kept; all ``order**2`` entries exist only once every column was asked
     for.  Conjugation arrays ``x -> h x h^-1`` are kept the same way.
     """
 
-    def __init__(self, cayley: tuple[array, ...], elements, index):
+    def __init__(self, elements, index, cayley, parent, via):
         order = len(elements)
         self._code = _typecode(order)
-        self._gens = cayley
-        self._elements, self._index = elements, index
-        parent, via = [0] * order, [0] * order
-        seen = bytearray(order)
-        seen[0] = 1
-        for x, row in enumerate(zip(*cayley)):
-            for k, y in enumerate(row):
-                if not seen[y]:
-                    seen[y] = 1
-                    parent[y], via[y] = x, k
-        self.parent, self.via = parent, via
+        self.elements, self.index, self.parent, self.via = elements, index, parent, via
+        self.cayley = tuple(array(self._code, col) for col in cayley)
         self._cols: list[Optional[array]] = [None] * order
         self._cols[0] = array(self._code, range(order))
+        for col in self.cayley:
+            self._cols[col[0]] = col  # entry 0 is the identity times g: g
         self._conj: list[Optional[array]] = [None] * order
 
     def column(self, y: int) -> array:
@@ -255,14 +258,14 @@ class _ProductTable:
                 path.append(self.parent[path[-1]])
             col = cols[path.pop()]
             for z in reversed(path):
-                col = cols[z] = array(self._code, map(self._gens[self.via[z]].__getitem__, col))
+                col = cols[z] = array(self._code, map(self.cayley[self.via[z]].__getitem__, col))
         return col
 
     @cached_property
     def inverse(self) -> array:
         """The index of each element's inverse."""
-        index = self._index
-        return array(self._code, [index[g.inverse()] for g in self._elements])
+        index = self.index
+        return array(self._code, [index[g.inverse()] for g in self.elements])
 
     def conjugation(self, h: int) -> array:
         """The index of ``h x h^-1`` at position ``x``.
@@ -295,14 +298,12 @@ class PermGroup:
         self,
         degree: int,
         generators: Sequence[Permutation],
-        elements: Sequence[Permutation],
-        index: dict[Permutation, int],
+        table: _ProductTable,
         name: Optional[str] = None,
     ):
         self.degree = degree
         self.generators = tuple(generators)
-        self.elements = tuple(elements)
-        self._index = index
+        self.elements, self._index, self._table = table.elements, table.index, table
         self.name = name
 
     @property
@@ -343,13 +344,21 @@ class PermGroup:
         )
 
     @cached_property
+    def _conjugators(self) -> list[array]:
+        """Per generator s, the array ``x -> s^-1 x s``.  It reads only the
+        Cayley column of s, so it fills no table column.  The s^-1 generate
+        G, so orbits under these arrays are the conjugacy classes."""
+        table = self._table
+        return [table.conjugation(table.inverse[col[0]]) for col in table.cayley]
+
+    @cached_property
     def _class_of(self) -> list[int]:
-        """Class index of each element index, by conjugation orbits.
+        """Class index of each element index, by orbits of the conjugators.
 
         Classes are numbered in order of their first element, so the
         identity class is class 0.
         """
-        gens, elements, index = self.generators, self.elements, self._index
+        conjugators = self._conjugators
         class_of = [-1] * self.order
         count = 0
         for start in range(self.order):
@@ -358,9 +367,8 @@ class PermGroup:
             class_of[start] = count
             orbit = [start]
             for i in orbit:
-                x = elements[i]
-                for g in gens:
-                    j = index[x.conjugated_by(g)]
+                for conj in conjugators:
+                    j = conj[i]
                     if class_of[j] < 0:
                         class_of[j] = count
                         orbit.append(j)
@@ -384,17 +392,19 @@ class PermGroup:
     def class_index_of(self, g: Permutation) -> int:
         return self._class_of[self.index_of(g)]
 
-    def _first_of_each_class(self) -> list[Permutation]:
-        firsts: list[Permutation] = []
-        for g, ci in zip(self.elements, self._class_of):
+    @cached_property
+    def _class_firsts(self) -> list[int]:
+        """Per class, the index of its first element."""
+        firsts: list[int] = []
+        for x, ci in enumerate(self._class_of):
             if ci == len(firsts):  # classes are numbered by first element
-                firsts.append(g)
+                firsts.append(x)
         return firsts
 
     @cached_property
     def _class_orders(self) -> list[int]:
         """Per class, the order of its elements."""
-        return [g.order() for g in self._first_of_each_class()]
+        return [self.elements[x].order() for x in self._class_firsts]
 
     @cached_property
     def _power_masks(self) -> list[int]:
@@ -403,10 +413,9 @@ class PermGroup:
         The powers of g are walked along g's product-table column: entry
         j of that column is the index of ``elements[j] * g``.
         """
-        class_of, index, table = self._class_of, self._index, self._table
+        class_of, table = self._class_of, self._table
         masks = []
-        for g in self._first_of_each_class():
-            j = index[g]
+        for j in self._class_firsts:
             col, mask = table.column(j), 1
             while j:  # the identity has index 0
                 mask |= 1 << class_of[j]
@@ -425,14 +434,29 @@ class PermGroup:
         """
         return self._power_masks[self._class_of[self.index_of(g)]]
 
+    def _reach(self, arrays: Sequence[array], stop: int) -> int:
+        """Size of the identity's orbit under the index maps ``arrays``,
+        found breadth-first; the search stops once it exceeds ``stop``."""
+        seen = bytearray(self.order)
+        seen[0] = 1
+        reached = [0]
+        for x in reached:
+            for a in arrays:
+                y = a[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    reached.append(y)
+            if len(reached) > stop:
+                break
+        return len(reached)
+
     def generates(self, elems: Sequence[Permutation]) -> bool:
-        """True iff the closure of ``elems`` is the whole group."""
-        for g in elems:
-            self.index_of(g)
-        if not elems:
-            return self.order == 1
-        sub, _ = _mulclose(list(elems), bound=self.order + 1)
-        return len(sub) == self.order
+        """True iff the closure of ``elems`` is the whole group: closed along
+        their product-table columns, it is as soon as it has more than half
+        of the elements (Lagrange)."""
+        cols = [self._table.column(self.index_of(g)) for g in elems]
+        half = self.order // 2
+        return self._reach(cols, half) > half
 
     def generates_pair(self, a: Permutation, b: Permutation) -> bool:
         """Fast two-element generation test.
@@ -441,91 +465,53 @@ class PermGroup:
         product set of their cyclic subgroups, so its size is
         ``|<a>| * |<b>| / |<a> n <b>|`` and no closure is needed.  Classes
         are single elements there, so g's power mask has a bit per element of <g>.
-        Otherwise <a, b> is closed breadth-first along the product-table
-        columns of a and b; by Lagrange it is the whole group as soon as
-        it has more than half of the elements.
+        Otherwise it is :meth:`generates` on the pair.
         """
-        i, j = self.index_of(a), self.index_of(b)
-        if self.is_abelian:
-            masks, class_of = self._power_masks, self._class_of
-            ma, mb = masks[class_of[i]], masks[class_of[j]]
-            return ma.bit_count() * mb.bit_count() == self.order * (ma & mb).bit_count()
-        col_a, col_b = self._table.column(i), self._table.column(j)
-        half = self.order // 2
-        seen = bytearray(self.order)
-        seen[0] = 1
-        reached = [0]
-        for x in reached:
-            for y in (col_a[x], col_b[x]):
-                if not seen[y]:
-                    seen[y] = 1
-                    reached.append(y)
-            if len(reached) > half:
-                return True
-        return False
+        if not self.is_abelian:
+            return self.generates((a, b))
+        masks, class_of = self._power_masks, self._class_of
+        ma, mb = masks[class_of[self.index_of(a)]], masks[class_of[self.index_of(b)]]
+        return ma.bit_count() * mb.bit_count() == self.order * (ma & mb).bit_count()
 
     def normal_closure_size(self, g: Permutation) -> int:
         """Order of the smallest normal subgroup containing ``g``.
 
         One breadth-first pass from the identity along ``x -> x g`` and
-        ``x -> h x h^-1`` (h a generator) suffices: the set it reaches is
-        closed under conjugation, so with x it holds h (h^-1 x h g) h^-1,
-        which is x times the conjugate h g h^-1 of g.
+        the :attr:`_conjugators` suffices: the set it reaches is closed
+        under conjugation, so with x it holds h (h^-1 x h g) h^-1, which
+        is x times the conjugate h g h^-1 of g.
         """
-        self.index_of(g)
-        gens = self.generators
-        reached = {self.identity}
-        queue = [self.identity]
-        for x in queue:
-            for y in (x * g, *(x.conjugated_by(h) for h in gens)):
-                if y not in reached:
-                    reached.add(y)
-                    queue.append(y)
-        return len(reached)
+        col = self._table.column(self.index_of(g))
+        return self._reach([col, *self._conjugators], self.order)
 
     def is_simple(self) -> bool:
         """True iff every nontrivial class normally generates the group."""
         if self.order < 2:
             raise ValueError("simplicity is defined for groups of order >= 2")
-        for cls in self._classes:
-            if cls.representative.is_identity():
-                continue
-            if self.normal_closure_size(cls.representative) != self.order:
-                return False
-        return True
+        n, elements = self.order, self.elements
+        return all(self.normal_closure_size(elements[x]) == n for x in self._class_firsts[1:])
 
     @cached_property
     def _inner(self) -> dict[tuple, Permutation]:
-        """Inner automorphisms, keyed by their generator images.
+        """Inner automorphisms, keyed by their generator images' indices.
 
         Conjugation by ``h`` depends only on the coset ``hZ(G)``, so each
         key maps to the first element (in element order) inducing it: the
-        values are a transversal of the centre, identity first.
+        values are a transversal of the centre, identity first.  h sends a
+        generator g to ``f[h^-1]``, where ``f[y] = y^-1 g y`` is filled
+        along the tree: ``f[p s] = s^-1 f[p] s``, a conjugator lookup.
         """
-        gens = self.generators
+        table, conjugators = self._table, self._conjugators
+        images = []
+        for col in table.cayley:
+            f = [col[0]] * self.order  # entry 0: the identity conjugates g to g
+            for y, p, k in zip(range(1, self.order), table.parent[1:], table.via[1:]):
+                f[y] = conjugators[k][f[p]]
+            images.append(map(f.__getitem__, table.inverse))
         out: dict[tuple, Permutation] = {}
-        for h in self.elements:
-            out.setdefault(tuple(g.conjugated_by(h).images for g in gens), h)
+        for h, key in zip(self.elements, zip(*images)):
+            out.setdefault(key, h)
         return out
-
-    @cached_property
-    def _cayley(self) -> tuple[array, ...]:
-        """Cayley graph by generator: entry x of column k is the index of
-        ``elements[x] * generators[k]``.  These are the generator columns
-        of the product table; homomorphisms are extended along them.
-        """
-        index, elements, raw = self._index, self.elements, Permutation._raw
-        code = _typecode(self.order)
-        columns = []
-        for g in self.generators:
-            # images of x * g; degree 1 has only the identity, and x * 1 = x
-            take = operator.itemgetter(*(j - 1 for j in g.images)) if self.degree > 1 else tuple
-            columns.append(array(code, [index[raw(take(x.images))] for x in elements]))
-        return tuple(columns)
-
-    @cached_property
-    def _table(self) -> _ProductTable:
-        return _ProductTable(self._cayley, self.elements, self._index)
 
     def _extend_generator_images(
         self, target: "PermGroup", images: Sequence[int]
@@ -543,7 +529,7 @@ class PermGroup:
         full = [0] * self.order
         for y, p, k in zip(range(1, self.order), table.parent[1:], table.via[1:]):
             full[y] = cols[k][full[p]]
-        for edges, col in zip(self._cayley, cols):
+        for edges, col in zip(table.cayley, cols):
             if not all(map(operator.eq, map(full.__getitem__, edges), map(col.__getitem__, full))):
                 return None
         return full
@@ -569,7 +555,8 @@ class PermGroup:
             )
         table, class_of = self._table, self._class_of
         gens = [self._index[g] for g in self.generators]
-        kind = list(zip(self._class_orders, map(len, self._classes)))
+        # classes are numbered by first element, so Counter lists them in order
+        kind = list(zip(self._class_orders, Counter(class_of).values()))
         order_of = [self._class_orders[ci] for ci in class_of]
         candidates = [
             [t for t, ci in enumerate(class_of) if kind[ci] == kind[class_of[g]]]
@@ -652,10 +639,9 @@ class GroupMap:
     @cached_property
     def is_inner(self) -> bool:
         """True iff this is conjugation by some element (endomaps only)."""
-        if self.source is not self.target:
-            return False
-        key = tuple(p.images for p in self.images)
-        return key in self.source._inner
+        source = self.source
+        key = tuple(self._full[source._index[g]] for g in source.generators)
+        return source is self.target and key in source._inner
 
     def compose(self, other: "GroupMap") -> "GroupMap":
         """The map ``self o other`` (apply ``other`` first)."""
@@ -710,5 +696,5 @@ def close(
             raise DegreeMismatch(
                 f"generator degrees differ: {degree} vs {g.degree}"
             )
-    elements, index = _mulclose(generators, ORDER_BOUND if bound is None else bound)
-    return PermGroup(degree, generators, elements, index, name=name)
+    table = _mulclose(generators, ORDER_BOUND if bound is None else bound)
+    return PermGroup(degree, generators, table, name=name)

@@ -204,7 +204,7 @@ def _orbit_candidates(G: PermGroup):
     index, table, n = G._index, G._table, G.order
     inv = table.inverse
     transversal = [index[h] for h in G._inner.values()][1:]
-    firsts = [index[g] for g in G._first_of_each_class()]
+    firsts = G._class_firsts
     for cls in G.conjugacy_classes():
         ir = index[cls.representative]
         col = table.column(inv[ir])

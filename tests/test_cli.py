@@ -252,6 +252,32 @@ class TestGroupReferences:
         assert code == 1 and out == ""
         assert err == f"error: {ref!r} is neither a builtin group name nor a file\n"
 
+    @pytest.mark.parametrize("name, reason", [
+        ("PSL2_37", "p must be a prime <= 31, got 37"),
+        ("D2", "dihedral groups need n >= 3 here"),
+        ("C0", "cyclic group order must be positive"),
+        ("A2", "alternating groups need n >= 3 here"),
+        ("EA2x3", "only square elementary abelians EA<p>x<p> are builtin"),
+        ("C2xD2", "dihedral groups need n >= 3 here"),
+    ])
+    def test_refused_builtin_name_gives_the_reason(self, capsys, monkeypatch, tmp_path,
+                                                   name, reason):
+        monkeypatch.chdir(tmp_path)  # no file of that name
+        code, out, err = run(capsys, "group", "info", "--group", name)
+        assert code == 1 and out == ""
+        assert err == f"error: {name!r} is not a file and not a valid builtin group: {reason}\n"
+        # a file of that name is read instead
+        (tmp_path / name).write_text("degree 3\n2 3 1\n")
+        code, out, err = run(capsys, "group", "info", "--group", name, "--json")
+        assert code == 0 and err == "" and json.loads(out)["order"] == 3
+
+    @pytest.mark.parametrize("name", ["D2xfoo", "C2x", "PSL2_x"])
+    def test_name_that_does_not_parse_is_neither(self, capsys, monkeypatch, tmp_path, name):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "group", "info", "--group", name)
+        assert code == 1 and out == ""
+        assert err == f"error: {name!r} is neither a builtin group name nor a file\n"
+
     def test_undecodable_file_is_named(self, capsys, tmp_path):
         path = tmp_path / "bad.grp"
         path.write_bytes(b"\xff\n")

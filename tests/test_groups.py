@@ -8,6 +8,7 @@ from conftest import naive_conjugacy_partition, naive_is_simple, naive_mulclose
 from surfmoduli import catalog
 from surfmoduli.errors import AutBoundExceeded, DegreeMismatch, OrderBoundExceeded
 from surfmoduli.groups import GroupMap, Permutation, close
+from surfmoduli.triangles import SphericalTriple
 
 
 class TestPermutation:
@@ -92,10 +93,11 @@ class TestConjugacyClasses:
         G = catalog.cyclic(1)
         assert len(G.conjugacy_classes()) == 1
 
-    def test_classes_partition_and_conj_closed(self, small_catalog):
-        for name in ("S4", "D5", "A4"):
-            G = small_catalog[name]
+    def test_classes_partition_and_conj_closed(self):
+        for name in ("S4", "D5", "A4", "D6", "S3xC3", "D4xC2", "PSL2_7"):
+            G = catalog.builtin(name)
             classes = G.conjugacy_classes()
+            assert {c.elements for c in classes} == set(naive_conjugacy_partition(G))
             assert sum(len(c) for c in classes) == G.order
             for cls in classes:
                 for g in cls:
@@ -131,9 +133,14 @@ class TestClassMasks:
     def test_lazy_facts_are_not_built_with_the_group(self):
         G = catalog.builtin("A6")
         facts = ("_class_of", "_power_masks", "_classes", "_inner", "_automorphisms",
-                 "_cayley", "_class_orders", "_table")
+                 "_conjugators", "_class_firsts", "_class_orders")
         for fact in facts:
             assert fact not in G.__dict__, fact
+        # the closure hands over only the Cayley graph: the generator columns
+        table = G._table
+        filled = {z for z, col in enumerate(table._cols) if col is not None}
+        assert filled == {0, *map(G.index_of, G.generators)}
+        assert not any(conj is not None for conj in table._conj)
         G.power_class_signature(G.generators[0])
         assert "_class_of" in G.__dict__ and "_power_masks" in G.__dict__
 
@@ -141,7 +148,7 @@ class TestClassMasks:
     def test_power_masks_match_a_permutation_power_walk(self, name):
         G = catalog.builtin(name)
         masks = []
-        for g in G._first_of_each_class():
+        for g in (G.elements[x] for x in G._class_firsts):
             mask, p = 1, g
             while not p.is_identity():
                 mask |= 1 << G.class_index_of(p)
@@ -152,9 +159,8 @@ class TestClassMasks:
     def test_power_masks_fill_only_the_columns_of_the_class_first_elements(self):
         G = catalog.builtin("A6")
         table = G._table
-        expected = set()
-        for g in G._first_of_each_class():
-            z = G.index_of(g)
+        expected = set(map(G.index_of, G.generators))  # the Cayley graph
+        for z in G._class_firsts:
             expected.add(z)
             while z:
                 z = table.parent[z]
@@ -197,6 +203,25 @@ class TestGenerates:
                 expected = len(naive_mulclose([a, b])) == G.order
                 assert G.generates_pair(a, b) == expected, (a, b)
 
+    @pytest.mark.parametrize("cap, value", [("ENTRY_BOUND", 1000), ("ORDER_BOUND", 10)])
+    def test_a_built_group_is_not_held_to_lowered_construction_caps(
+        self, monkeypatch, cap, value
+    ):
+        G = catalog.builtin("S6")
+        monkeypatch.setattr(f"surfmoduli.groups.{cap}", value)
+        a, b = G.generators
+        assert G.generates([a, b]) and not G.generates([a])
+        t = SphericalTriple(G, a, b, (a * b).inverse())  # checks generation
+        assert t.c is G.elements[G.index_of(t.c)]
+
+    @pytest.mark.parametrize("name", ["S3", "D4", "A4", "C1", "C2"])
+    def test_empty_and_one_element_lists_match_the_closure(self, name):
+        G = catalog.builtin(name)
+        assert G.generates([]) == (G.order == 1)
+        for g in G.elements:
+            expected = len(naive_mulclose([g])) == G.order  # oracle
+            assert G.generates([g]) == expected, g
+
     def test_membership_required(self, small_catalog):
         G = small_catalog["C5"]
         with pytest.raises(ValueError):
@@ -235,7 +260,7 @@ class TestProductTable:
             path.append(table.parent[path[-1]])
         table.column(y)
         filled = {z for z, col in enumerate(table._cols) if col is not None}
-        assert filled == set(path)
+        assert filled == set(path) | set(map(G.index_of, G.generators))
         for z in path[:-1]:
             p = table.parent[z]
             assert G.elements[z] == G.elements[p] * G.generators[table.via[z]]
@@ -263,7 +288,7 @@ class TestIsSimple:
 
     def test_normal_closure_size_is_the_least_normal_class_union(self, small_catalog):
         groups = [small_catalog[n] for n in ("S4", "D5", "A4", "C12")]
-        for G in groups + [catalog.builtin("D4xC2")]:
+        for G in groups + [catalog.builtin(n) for n in ("D4xC2", "D6", "S3xC3", "PSL2_7")]:
             classes = naive_conjugacy_partition(G)
             identity_cls = next(c for c in classes if G.identity in c)
             others = [c for c in classes if c is not identity_cls]
@@ -349,6 +374,20 @@ class TestAutomorphisms:
             tuple(p.images for p in a.images) for a in auts if a.is_inner
         }
         assert flagged == inner
+
+    @pytest.mark.parametrize("name", ["D4", "D6", "D4xC2", "S3xC3", "PSL2_7", "C12"])
+    def test_centre_transversal_and_inner_flags_match_conjugation_by_every_element(
+        self, name
+    ):
+        G = catalog.builtin(name)
+        first = {}  # generator images of conjugation by h -> first such h
+        for h in G.elements:
+            first.setdefault(tuple(g.conjugated_by(h) for g in G.generators), h)
+        assert list(G._inner.values()) == list(first.values())
+        auts = G.automorphisms()
+        for a in auts:
+            assert a.is_inner == (a.images in first), a
+        assert sum(a.is_inner for a in auts) == len(first)
 
     def test_counts_match_brute_force_bijections(self, small_catalog):
         # every bijective generator assignment that extends = automorphism

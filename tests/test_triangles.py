@@ -311,13 +311,13 @@ class TestOneObjectPerElement:
     def test_generation_tests_share_one_cayley_graph_and_table(self):
         G = catalog.builtin("A6")
         assert G.generates_pair(*G.generators)
-        cayley, table = G._cayley, G._table
+        cayley, table = G._table.cayley, G._table
         for a in G.elements[::7]:
             for b in G.elements[::5]:
                 G.generates_pair(a, b)
         enumerate_triples(G, triple_type=TripleType(2, 4, 5))
         GroupMap(G, G, G.generators)
-        assert G._cayley is cayley and G._table is table
+        assert G._table.cayley is cayley and G._table is table
         # a lone test fills only the columns on the paths of its two elements
         S8 = catalog.builtin("S8")
         started = time.perf_counter()
