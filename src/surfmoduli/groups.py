@@ -11,11 +11,12 @@ construction and safe to share between workers.
 Inside the searches an element is its index in ``G.elements``.  The
 closure keeps the Cayley graph it walks and its breadth-first tree: the
 regular action of G on those indices, held as a product table by columns
-(see :class:`_ProductTable`).  Classes, the centre transversal, normal
-closures, generation tests, triple enumeration, least conjugators and
-automorphisms all read these index arrays.  After construction only
-:attr:`PermGroup.is_abelian` multiplies :class:`Permutation` objects;
-they are otherwise read for inverses and element orders, and at I/O.
+(see :class:`_ProductTable`).  Inverses, classes, the centre transversal,
+normal closures, generation tests, triple enumeration and equivalence,
+least conjugators and automorphisms all read these index arrays.  After
+construction only :attr:`PermGroup.is_abelian` multiplies
+:class:`Permutation` objects; they are otherwise read for element orders
+and at I/O.
 """
 
 from __future__ import annotations
@@ -261,11 +262,35 @@ class _ProductTable:
                 col = cols[z] = array(self._code, map(self.cayley[self.via[z]].__getitem__, col))
         return col
 
+    def walk(self, start: int, arrays: Sequence[Sequence[int]]) -> list[int]:
+        """Values ``v`` along the breadth-first tree: ``v[0] = start`` and
+        ``v[p * g_k] = arrays[k][v[p]]`` for each tree edge.
+
+        With the Cayley columns as ``arrays`` this is left translation by
+        ``elements[start]``; with any maps that respect the edges it is
+        the homomorphism they define.
+        """
+        v = [start] * len(self.elements)
+        for y, p, k in zip(range(1, len(v)), self.parent[1:], self.via[1:]):
+            v[y] = arrays[k][v[p]]
+        return v
+
+    @cached_property
+    def lefts(self) -> list[array]:
+        """Per generator g, left translation ``x -> g^-1 x``.  g^-1 is the
+        element just before the identity on g's Cayley column."""
+        out = []
+        for col in self.cayley:
+            g, ginv = col[0], 0
+            while g:
+                ginv, g = g, col[g]
+            out.append(array(self._code, self.walk(ginv, self.cayley)))
+        return out
+
     @cached_property
     def inverse(self) -> array:
-        """The index of each element's inverse."""
-        index = self.index
-        return array(self._code, [index[g.inverse()] for g in self.elements])
+        """The index of each element's inverse: ``(p g)^-1 = g^-1 p^-1``."""
+        return array(self._code, self.walk(0, self.lefts))
 
     def conjugation(self, h: int) -> array:
         """The index of ``h x h^-1`` at position ``x``.
@@ -345,11 +370,15 @@ class PermGroup:
 
     @cached_property
     def _conjugators(self) -> list[array]:
-        """Per generator s, the array ``x -> s^-1 x s``.  It reads only the
-        Cayley column of s, so it fills no table column.  The s^-1 generate
-        G, so orbits under these arrays are the conjugacy classes."""
+        """Per generator s, the array ``x -> s^-1 x s``: left translation
+        by s^-1, then s's Cayley column, so it fills no table column.  The
+        s^-1 generate G, so orbits under these arrays are the conjugacy
+        classes."""
         table = self._table
-        return [table.conjugation(table.inverse[col[0]]) for col in table.cayley]
+        return [
+            array(table._code, map(col.__getitem__, left))
+            for col, left in zip(table.cayley, table.lefts)
+        ]
 
     @cached_property
     def _class_of(self) -> list[int]:
@@ -504,9 +533,7 @@ class PermGroup:
         table, conjugators = self._table, self._conjugators
         images = []
         for col in table.cayley:
-            f = [col[0]] * self.order  # entry 0: the identity conjugates g to g
-            for y, p, k in zip(range(1, self.order), table.parent[1:], table.via[1:]):
-                f[y] = conjugators[k][f[p]]
+            f = table.walk(col[0], conjugators)  # the identity conjugates g to g
             images.append(map(f.__getitem__, table.inverse))
         out: dict[tuple, Permutation] = {}
         for h, key in zip(self.elements, zip(*images)):
@@ -526,9 +553,7 @@ class PermGroup:
         """
         cols = [target._table.column(t) for t in images]
         table = self._table
-        full = [0] * self.order
-        for y, p, k in zip(range(1, self.order), table.parent[1:], table.via[1:]):
-            full[y] = cols[k][full[p]]
+        full = table.walk(0, cols)
         for edges, col in zip(table.cayley, cols):
             if not all(map(operator.eq, map(full.__getitem__, edges), map(col.__getitem__, full))):
                 return None

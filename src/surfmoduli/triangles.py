@@ -10,7 +10,8 @@ the cover comes from the branched-cover count
 evaluated here in exact integer arithmetic.  The stabilizer set Sigma of a
 triple is the set of group elements fixing some point of the cover: the
 union over the group of all conjugates of all powers of a, b and c, which
-is a union of full conjugacy classes.
+is a union of full conjugacy classes.  Two triples are equivalent when an
+automorphism of G, inner for marked equivalence, carries one to the other.
 """
 
 from __future__ import annotations
@@ -281,27 +282,26 @@ def triples_equivalent(
     """Equivalence of triples under inner (marked) or all (unmarked)
     automorphisms, applied componentwise.
 
-    ``c`` follows automatically once ``a`` and ``b`` match, because any
-    homomorphic image of ``(a, b, c)`` again multiplies to the identity.
+    a1 and b1 generate G, so one breadth-first walk along x -> x a1, x b1,
+    with y -> y a2, y b2 alongside, builds the only candidate map; unless
+    it reaches an element with two images, it is an automorphism (c follows).
     """
     if t1.group is not t2.group:
         raise GroupMismatch("triples live on different groups")
-    G = t1.group
-    if t1.triple_type != t2.triple_type:
-        return False
-    if mode == "marked":
-        if G.class_index_of(t1.a) != G.class_index_of(t2.a):
-            return False
-        return any(
-            t1.a.conjugated_by(h) == t2.a and t1.b.conjugated_by(h) == t2.b
-            for h in G._inner.values()
-        )
-    if mode == "unmarked":
-        return any(
-            phi(t1.a) == t2.a and phi(t1.b) == t2.b
-            for phi in G.automorphisms()
-        )
-    raise ValueError(f"unknown mode {mode!r}")
+    if mode not in ("marked", "unmarked"):
+        raise ValueError(f"unknown mode {mode!r}")
+    G, index, column = t1.group, t1.group._index, t1.group._table.column
+    edges = [(column(index[x]), column(index[y])) for x, y in ((t1.a, t2.a), (t1.b, t2.b))]
+    image, reached = [0] + [-1] * (G.order - 1), [0]
+    for x in reached:
+        for col1, col2 in edges:
+            x1, y1 = col1[x], col2[image[x]]
+            if image[x1] < 0:
+                image[x1] = y1
+                reached.append(x1)
+            elif image[x1] != y1:
+                return False
+    return mode == "unmarked" or tuple(image[index[g]] for g in G.generators) in G._inner
 
 
 def branch_permutation_orbit(t: SphericalTriple) -> list[SphericalTriple]:

@@ -1,6 +1,7 @@
 """Triangle-curve combinatorics: genus, enumeration, stabilizer sets,
 marked and unmarked equivalence."""
 
+import random
 import time
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from conftest import naive_genus, naive_sigma, naive_triples
 from surfmoduli import catalog
 from surfmoduli.beauville import search
 from surfmoduli.errors import GroupMismatch
-from surfmoduli.groups import GroupMap, Permutation
+from surfmoduli.groups import GroupMap, PermGroup, Permutation
 from surfmoduli.triangles import (
     SphericalTriple,
     TripleType,
@@ -202,13 +203,64 @@ class TestEquivalence:
         for h in list(G.elements)[:8]:
             assert triples_equivalent(t, t.conjugated_by(h), mode="marked")
 
-    def test_marked_matches_conjugation_by_every_element(self, small_catalog):
-        G = small_catalog["D4"]  # centre of order 2
+    @pytest.mark.parametrize("name", ["D4", "S4", "A4", "D6", "S3xC3", "C12", "EA3x3"])
+    def test_marked_matches_conjugation_by_every_element(self, name):
+        G = catalog.builtin(name)  # D4, D6 and S3xC3 have a nontrivial centre
         triples = enumerate_triples(G)
         for t1 in triples:
+            conjugates = {t1.conjugated_by(h) for h in G.elements}
             for t2 in triples:
-                expected = any(t1.conjugated_by(h) == t2 for h in G.elements)
-                assert triples_equivalent(t1, t2, mode="marked") == expected
+                assert triples_equivalent(t1, t2, mode="marked") == (t2 in conjugates)
+
+    @pytest.mark.parametrize(
+        "name", ["S4", "D4", "A4", "D6", "S3xC3", "EA3x3", "EA5x5", "A5", "PSL2_7"]
+    )
+    def test_unmarked_matches_a_scan_of_every_automorphism(self, name):
+        G = catalog.builtin(name)
+        auts = G.automorphisms()
+        rng = random.Random(name)
+        triples = []
+        while len(triples) < 12:
+            a, b = rng.choice(G.elements), rng.choice(G.elements)
+            if G.generates_pair(a, b):
+                triples.append(SphericalTriple(G, a, b, (a * b).inverse()))
+        equivalent = 0
+        for i in range(60):
+            t1 = rng.choice(triples)
+            if i % 2:  # an automorphic image, now and then conjugated too
+                phi = rng.choice(auts)
+                a, b = phi(t1.a), phi(t1.b)
+                t2 = SphericalTriple(G, a, b, (a * b).inverse())
+                if rng.random() < 0.5:
+                    t2 = t2.conjugated_by(rng.choice(G.elements))
+            else:
+                t2 = rng.choice(triples)
+            expected = any(phi(t1.a) == t2.a and phi(t1.b) == t2.b for phi in auts)
+            assert triples_equivalent(t1, t2, mode="unmarked") == expected
+            equivalent += expected
+        assert equivalent >= 30
+
+    def test_neither_mode_needs_the_automorphism_group(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("automorphisms() called")
+
+        monkeypatch.setattr(PermGroup, "automorphisms", refuse)
+        G = catalog.builtin("S4")
+        t = enumerate_triples(G, hyperbolic_only=True)[0]
+        u = t.conjugated_by(G.generators[0])
+        assert triples_equivalent(t, u, mode="marked")
+        assert triples_equivalent(t, u, mode="unmarked")
+        G = catalog.builtin("EA5x5")
+        x, y = G.generators
+        t1 = SphericalTriple(G, x, y, (x * y).inverse())
+        t2 = SphericalTriple(G, y, x, (y * x).inverse())
+        assert triples_equivalent(t1, t2, mode="unmarked")
+        assert not triples_equivalent(t1, t2, mode="marked")
+
+    def test_listing_flag_ignores_the_automorphism_bound(self, monkeypatch):
+        monkeypatch.setattr("surfmoduli.groups.AUT_BOUND", 20)
+        structure = search(catalog.builtin("EA5x5"), stop_at_first=True)[0]
+        assert structure.as_dict()["triples_unmarked_equivalent"] is True
 
     def test_abelian_swap_is_unmarked_only(self, small_catalog):
         G = small_catalog["EA5x5"]
@@ -226,6 +278,15 @@ class TestEquivalence:
         t344 = next(t for t in ts if t.triple_type == TripleType(3, 4, 4))
         assert not triples_equivalent(t234, t344, mode="marked")
         assert not triples_equivalent(t234, t344, mode="unmarked")
+
+    def test_unknown_mode_is_refused_whatever_the_types(self, small_catalog):
+        G = small_catalog["S4"]
+        ts = enumerate_triples(G)
+        t234 = next(t for t in ts if t.triple_type == TripleType(2, 3, 4))
+        t344 = next(t for t in ts if t.triple_type == TripleType(3, 4, 4))
+        for t2 in (t234.conjugated_by(G.generators[0]), t344):
+            with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+                triples_equivalent(t234, t2, mode="bogus")
 
     def test_group_mismatch(self, small_catalog):
         t1 = enumerate_triples(small_catalog["S4"])[0]
