@@ -27,8 +27,10 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from itertools import compress
 from math import isqrt
-from typing import Iterable
+from operator import attrgetter, or_
+from typing import Iterable, Iterator, Sequence
 
 from .errors import GroupMismatch, NonIntegralChi, SurfModuliError
 from .groups import PermGroup, Permutation
@@ -114,56 +116,70 @@ def _least_conjugator(t: SphericalTriple) -> Permutation:
     h is unique, as Inn(G) acts freely on generating triples; it also makes
     any pair (t, t2) least, because a pair's key starts with t's key.  The
     first two entries fix the third, so they alone are compared, read off
-    the conjugation arrays of the group's product table.
+    the conjugation arrays of the group's product table, in two stages: as
+    h runs over the transversal, h a h^-1 runs over the class of a, so only
+    the h sending a to the least element of its class (its representative)
+    can win, and the second entries decide among those.
     """
     G = t.group
     table, index, elements = G._table, G._index, G.elements
     a, b = index[t.a], index[t.b]
+    least = index[G.conjugacy_classes()[G._class_of[a]].representative]
+    kept = [h for h in G._inner.values() if table.conjugation(index[h])[a] == least]
+    return min(kept, key=lambda h: elements[table.conjugation(index[h])[b]].images)
 
-    def key(h: Permutation) -> tuple:
-        conj = table.conjugation(index[h])
-        return (elements[conj[a]].images, elements[conj[b]].images)
 
-    return min(G._inner.values(), key=key)
+def _supports(G: PermGroup, triples: Sequence[SphericalTriple]) -> Iterator[int]:
+    """Each triple's class support, as :func:`sigma_class_indices` gives it,
+    read lazily per element in C-level passes.  The entries are the
+    group's own element objects, so a dict keyed by their ids gives each
+    one's power mask without hashing a :class:`Permutation`."""
+    mask_of = dict(zip(map(id, G.elements), map(G._power_masks.__getitem__, G._class_of)))
+    a, b, c = (map(mask_of.__getitem__, map(id, map(attrgetter(x), triples))) for x in "abc")
+    return map(or_, map(or_, a, b), c)
 
 
 def search(G: PermGroup, stop_at_first: bool = False) -> list[BeauvilleStructure]:
     """All unmixed Beauville structures on G, or the first one found.
 
-    Candidate second triples are bucketed by the class support of their
-    stabilizer set, an int bitmask with bit 0 the identity class.  Whether
-    two triples can pair depends only on their supports (they must share
-    only the identity class: ``s1 & s2 == 1``), so the compatible buckets
-    are found once per distinct support.  The first triple t1 runs
-    over triples whose leading entry is a class representative, which
-    meets every orbit of simultaneous conjugation.  Inn(G) acts freely, so
-    the orbit's canonical form (its least pair) is the one pair whose t1
-    is least: the listing keeps the pairs whose t1 is least, in key order.
+    Each hyperbolic triple's stabilizer set is read as its class support,
+    an int bitmask with bit 0 the identity class.  Whether two triples can
+    pair depends only on their supports (they must share only the identity
+    class: ``s1 & s2 == 1``).  The first triple t1 runs over triples whose
+    leading entry is a class representative, which meets every orbit of
+    simultaneous conjugation, and every triple is conjugate to one of
+    them, so their supports are all the supports there are.  Inn(G) acts
+    freely, so the orbit's canonical form (its least pair) is the one pair
+    whose t1 is least: the listing keeps the pairs whose t1 is least, in
+    key order, with each support's partners gathered once.  The first
+    structure pairs the first t1 that has a partner with its first partner
+    in enumeration order, so only the supports up to that partner are read,
+    and conjugates the pair into canonical form.
     """
     second = enumerate_triples(G, hyperbolic_only=True)
-    reps = {cls.representative for cls in G.conjugacy_classes()}
-    buckets: dict[int, list[SphericalTriple]] = {}
-    for t in second:
-        buckets.setdefault(sigma_class_indices(t), []).append(t)
-    compatible = {
-        sig1: [bucket for sig2, bucket in buckets.items() if sig1 & sig2 == 1]
-        for sig1 in buckets
-    }
+    reps = {id(cls.representative) for cls in G.conjugacy_classes()}
+    led = list(compress(second, map(reps.__contains__, map(id, map(attrgetter("a"), second)))))
+    realized = set(_supports(G, led))
+    # the listing reads every support, the first structure those up to its partner
+    supports = _supports(G, second) if stop_at_first else list(_supports(G, second))
+
+    fits_of = {sig1: {sig2: sig1 & sig2 == 1 for sig2 in realized} for sig1 in realized}
 
     structures = []
-    for t1 in second:
-        if t1.a not in reps:
-            continue
-        partners = compatible[sigma_class_indices(t1)]
-        if not partners:
+    partners: dict[int, list[SphericalTriple]] = {}
+    for t1 in led:
+        sig1 = sigma_class_indices(t1)
+        fits = fits_of[sig1]
+        if not any(fits.values()):
             continue
         h = _least_conjugator(t1)
         if stop_at_first:
-            t1, t2 = t1.conjugated_by(h), partners[0][0].conjugated_by(h)
-            return [BeauvilleStructure(t1, t2, _check=False)]
+            t2 = next(compress(second, map(fits.__getitem__, supports)))
+            return [BeauvilleStructure(t1.conjugated_by(h), t2.conjugated_by(h), _check=False)]
         if h == G.identity:
-            for bucket in partners:
-                structures += [BeauvilleStructure(t1, t2, _check=False) for t2 in bucket]
+            if sig1 not in partners:
+                partners[sig1] = list(compress(second, map(fits.__getitem__, supports)))
+            structures += [BeauvilleStructure(t1, t2, _check=False) for t2 in partners[sig1]]
     structures.sort(key=BeauvilleStructure.key)
     return structures
 

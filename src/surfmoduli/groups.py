@@ -13,7 +13,10 @@ closure keeps the Cayley graph it walks and its breadth-first tree: the
 regular action of G on those indices, held as a product table by columns
 (see :class:`_ProductTable`).  Inverses, classes, the centre transversal,
 normal closures, generation tests, triple enumeration and equivalence,
-least conjugators and automorphisms all read these index arrays.  After
+least conjugators and automorphisms all read these index arrays.  The
+action of G on itself by conjugation is read off the same tree: one array
+per generator, and the array of any other element composed from them
+along its tree path, so conjugation fills no product-table column.  After
 construction only :attr:`PermGroup.is_abelian` multiplies
 :class:`Permutation` objects; they are otherwise read for element orders
 and at I/O.
@@ -235,7 +238,17 @@ class _ProductTable:
     one C-level pass, whatever the degree.  A column is filled on first
     use, with the unfilled columns on its path to the identity, and then
     kept; all ``order**2`` entries exist only once every column was asked
-    for.  Conjugation arrays ``x -> h x h^-1`` are kept the same way.
+    for.
+
+    Conjugation arrays ``x -> h x h^-1`` follow the same tree: with
+    ``h = p * g``, conjugation by h is conjugation by g followed by
+    conjugation by p.  So the array of h is the per-generator arrays of
+    :attr:`_by_generator` chained along h's path up to the nearest element
+    whose array is kept, read in one C-level pass.  Only the arrays asked
+    for are kept, so asking in breadth-first order (as triple enumeration
+    does) reads one chained array per new one, and a sparse request (a
+    few centraliser elements deep in the tree) keeps no ancestor.  No
+    column is filled.
     """
 
     def __init__(self, elements, index, cayley, parent, via):
@@ -292,22 +305,46 @@ class _ProductTable:
         """The index of each element's inverse: ``(p g)^-1 = g^-1 p^-1``."""
         return array(self._code, self.walk(0, self.lefts))
 
-    def conjugation(self, h: int) -> array:
-        """The index of ``h x h^-1`` at position ``x``.
+    @cached_property
+    def conjugators(self) -> list[array]:
+        """Per generator s, the array ``x -> s^-1 x s``: left translation
+        by s^-1, then s's Cayley column, so it fills no column.  The
+        s^-1 generate G, so orbits under these arrays are the conjugacy
+        classes."""
+        return [
+            array(self._code, map(col.__getitem__, left))
+            for col, left in zip(self.cayley, self.lefts)
+        ]
 
-        With ``col`` the column of ``h^-1``, ``col[inv[x]]`` is
-        ``x^-1 h^-1``, its inverse is ``h x``, and ``col`` of that is
-        ``h x h^-1``: three passes over the inverse array.
+    @cached_property
+    def _by_generator(self) -> list[list[int]]:
+        """Per generator s, ``x -> s x s^-1``: the inverse of its
+        conjugator.  Lists, since chained lookups into a list hand on its
+        int objects where an array would make new ones."""
+        order = len(self.elements)
+        return [sorted(range(order), key=conj.__getitem__) for conj in self.conjugators]
+
+    def conjugation(self, h: int) -> array:
+        """The index of ``h x h^-1`` at position ``x``, kept once asked for.
+
+        For the path ``h = top * g_1 * ... * g_k`` down the tree from the
+        nearest element ``top`` whose array is kept (else the identity),
+        ``h x h^-1`` is ``top (g_1 (... (g_k x g_k^-1) ...) g_1^-1) top^-1``:
+        one chain of lookups, innermost the generator of h's own edge.
         """
-        conj = self._conj[h]
-        if conj is None:
-            inv = self.inverse
-            col = self.column(inv[h])
-            conj = self._conj[h] = array(
-                self._code,
-                map(col.__getitem__, map(inv.__getitem__, map(col.__getitem__, inv))),
-            )
-        return conj
+        kept = self._conj
+        if kept[h] is None:
+            path = [h]
+            while path[-1] and kept[path[-1]] is None:
+                path.append(self.parent[path[-1]])
+            top = path.pop()
+            chain = range(len(self.elements))
+            for z in path:
+                chain = map(self._by_generator[self.via[z]].__getitem__, chain)
+            if top:
+                chain = map(kept[top].__getitem__, chain)
+            kept[h] = array(self._code, list(chain))  # a list fills an array faster
+        return kept[h]
 
 
 class PermGroup:
@@ -369,25 +406,14 @@ class PermGroup:
         )
 
     @cached_property
-    def _conjugators(self) -> list[array]:
-        """Per generator s, the array ``x -> s^-1 x s``: left translation
-        by s^-1, then s's Cayley column, so it fills no table column.  The
-        s^-1 generate G, so orbits under these arrays are the conjugacy
-        classes."""
-        table = self._table
-        return [
-            array(table._code, map(col.__getitem__, left))
-            for col, left in zip(table.cayley, table.lefts)
-        ]
-
-    @cached_property
     def _class_of(self) -> list[int]:
-        """Class index of each element index, by orbits of the conjugators.
+        """Class index of each element index, by orbits of the table's
+        conjugators.
 
         Classes are numbered in order of their first element, so the
         identity class is class 0.
         """
-        conjugators = self._conjugators
+        conjugators = self._table.conjugators
         class_of = [-1] * self.order
         count = 0
         for start in range(self.order):
@@ -506,12 +532,12 @@ class PermGroup:
         """Order of the smallest normal subgroup containing ``g``.
 
         One breadth-first pass from the identity along ``x -> x g`` and
-        the :attr:`_conjugators` suffices: the set it reaches is closed
+        the table's conjugators suffices: the set it reaches is closed
         under conjugation, so with x it holds h (h^-1 x h g) h^-1, which
         is x times the conjugate h g h^-1 of g.
         """
         col = self._table.column(self.index_of(g))
-        return self._reach([col, *self._conjugators], self.order)
+        return self._reach([col, *self._table.conjugators], self.order)
 
     def is_simple(self) -> bool:
         """True iff every nontrivial class normally generates the group."""
@@ -530,10 +556,10 @@ class PermGroup:
         generator g to ``f[h^-1]``, where ``f[y] = y^-1 g y`` is filled
         along the tree: ``f[p s] = s^-1 f[p] s``, a conjugator lookup.
         """
-        table, conjugators = self._table, self._conjugators
+        table = self._table
         images = []
         for col in table.cayley:
-            f = table.walk(col[0], conjugators)  # the identity conjugates g to g
+            f = table.walk(col[0], table.conjugators)  # the identity conjugates g to g
             images.append(map(f.__getitem__, table.inverse))
         out: dict[tuple, Permutation] = {}
         for h, key in zip(self.elements, zip(*images)):

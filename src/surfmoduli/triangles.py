@@ -243,15 +243,17 @@ def enumerate_triples(
     index of the first and second entries.
 
     The search runs on element indices: conjugation arrays come from the
-    group's product table, types and hyperbolicity from the per-class
-    orders.  Each output triple is built once, from ``G.elements``, after
-    its block is sorted.
+    group's product table (asked for in element order, so the chain of
+    each usually starts at its kept tree parent), types and hyperbolicity
+    from the per-class orders.  Each output triple is built once, from
+    ``G.elements``, after its block is sorted.
     """
     elements, index, n = G.elements, G._index, G.order
+    nn = n * n
     orders = [G._class_orders[ci] for ci in G._class_of]
     # conjugation by the centre transversal minus the identity
     conjugations = [G._table.conjugation(index[h]) for h in list(G._inner.values())[1:]]
-    full = []
+    full: list[SphericalTriple] = []
     for ir, candidates in groupby(_orbit_candidates(G), key=itemgetter(0)):
         block = []
         for _, ib, ic in candidates:
@@ -267,10 +269,10 @@ def enumerate_triples(
             block.append((ir * n + ib) * n + ic)
             block.extend((conj[ir] * n + conj[ib]) * n + conj[ic] for conj in conjugations)
         block.sort()
-        for key in block:
-            ab, c = divmod(key, n)
-            a, b = divmod(ab, n)
-            full.append(SphericalTriple(G, elements[a], elements[b], elements[c], _check=False))
+        full += [
+            SphericalTriple(G, elements[k // nn], elements[k // n % n], elements[k % n], False)
+            for k in block
+        ]
     return full
 
 

@@ -30,6 +30,15 @@ def naive_mulclose(perms):
     return elements
 
 
+def naive_conjugate(h, x):
+    """The images of h x h^-1, from plain image tuples of points 1..n:
+    h x h^-1 sends h(i) to h(x(i))."""
+    out = [0] * len(h)
+    for i in range(len(h)):
+        out[h[i] - 1] = h[x[i] - 1]
+    return tuple(out)
+
+
 def naive_conjugacy_partition(G):
     """Conjugate every element by every element; no generator tricks."""
     remaining = set(G.elements)

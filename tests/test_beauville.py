@@ -1,5 +1,6 @@
 """Beauville structures: freeness test, search completeness, invariants."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -10,6 +11,7 @@ from surfmoduli.beauville import (
     BeauvilleStructure,
     _least_conjugator,
     _support_orbits,
+    _supports,
     count_structures,
     is_beauville_pair,
     isogenous_invariants,
@@ -27,6 +29,17 @@ from surfmoduli.triangles import (
     is_hyperbolic,
     sigma_class_indices,
 )
+
+
+def verdict_relabelled_a6():
+    """A6 on points relabelled as the benchmark's verdict plan draws them
+    for seed 7: one shuffle per verdict group, A6's coming fifth."""
+    rng = random.Random("verdict:7")
+    for degree in (4, 5, 5, 8, 6):
+        labels = list(range(1, degree + 1))
+        rng.shuffle(labels)
+    pi = Permutation(labels)
+    return close([g.conjugated_by(pi) for g in catalog.alternating(6).generators], name="A6")
 
 
 def quadruple_loop_structures(G):
@@ -141,6 +154,22 @@ class TestSearch:
                     G, (t1.a, t1.b, t1.c), (t2.a, t2.b, t2.c)
                 )
 
+    @pytest.mark.parametrize("name", ["S4", "D4", "C3xS3", "PSL2_7"])
+    def test_least_conjugator_is_the_least_over_the_whole_transversal(self, name):
+        G = catalog.builtin(name)
+        transversal = list(G._inner.values())
+        for t in enumerate_triples(G)[:: max(1, G.order // 24)]:
+            least = min(transversal, key=lambda h: t.conjugated_by(h).key()[:2])
+            assert _least_conjugator(t) is least, (name, t)
+
+    @pytest.mark.parametrize("name", ["S5", "PSL2_7", "D6", "EA5x5"])
+    def test_search_supports_equal_sigma_class_indices(self, name):
+        # every generating triple, hyperbolic or not: D6 has no hyperbolic one
+        G = catalog.builtin(name)
+        triples = enumerate_triples(G)
+        assert triples
+        assert list(_supports(G, triples)) == [sigma_class_indices(t) for t in triples]
+
     def test_full_s5_listing_is_one_pair_per_orbit(self):
         # S5 is Beauville and non-abelian with trivial centre, so each
         # orbit of admissible pairs has 120 members and the listing keeps
@@ -172,17 +201,23 @@ class TestSearch:
         # stop_at_first returns the canonical form of the first admissible
         # pair in enumeration order: t1 the first hyperbolic triple led by a
         # class representative that has a partner, t2 its first partner
-        for G in (small_catalog["EA5x5"], catalog.symmetric(5)):
+        for G in (
+            small_catalog["EA5x5"],
+            catalog.symmetric(5),
+            catalog.psl2(7),
+            catalog.alternating(6),
+            verdict_relabelled_a6(),
+        ):
             triples = enumerate_triples(G, hyperbolic_only=True)
             sigs = [sigma_class_indices(t) for t in triples]
             reps = {cls.representative for cls in G.conjugacy_classes()}
-            t1, t2 = next(
-                (t1, t2)
+            realized = set(sigs)
+            t1, sig1 = next(
+                (t1, sig1)
                 for t1, sig1 in zip(triples, sigs)
-                if t1.a in reps
-                for t2, sig2 in zip(triples, sigs)
-                if sig1 & sig2 == 1
+                if t1.a in reps and any(sig1 & sig2 == 1 for sig2 in realized)
             )
+            t2 = next(t2 for t2, sig2 in zip(triples, sigs) if sig1 & sig2 == 1)
             expected = naive_canonical_pair(
                 G, (t1.a, t1.b, t1.c), (t2.a, t2.b, t2.c)
             )

@@ -1,9 +1,15 @@
 """Group core: closure, classes, generation, simplicity, automorphisms."""
 
 import itertools
+import random
 
 import pytest
-from conftest import naive_conjugacy_partition, naive_is_simple, naive_mulclose
+from conftest import (
+    naive_conjugacy_partition,
+    naive_conjugate,
+    naive_is_simple,
+    naive_mulclose,
+)
 
 from surfmoduli import catalog
 from surfmoduli.errors import AutBoundExceeded, DegreeMismatch, OrderBoundExceeded
@@ -141,6 +147,7 @@ class TestClassMasks:
         filled = {z for z, col in enumerate(table._cols) if col is not None}
         assert filled == {0, *map(G.index_of, G.generators)}
         assert not any(conj is not None for conj in table._conj)
+        assert not {"conjugators", "_by_generator"} & table.__dict__.keys()
         G.power_class_signature(G.generators[0])
         assert "_class_of" in G.__dict__ and "_power_masks" in G.__dict__
 
@@ -250,6 +257,20 @@ class TestProductTable:
             conj = table.conjugation(h)
             for x in range(G.order):
                 assert E[conj[x]] == E[h] * E[x] * E[h].inverse()
+
+    @pytest.mark.parametrize("name", ["S4", "D4", "D6", "C3xS3", "EA3x3", "A5"])
+    def test_conjugation_arrays_match_an_image_tuple_oracle(self, name):
+        # every h, asked for in a seeded order so that some arrays compose
+        # from a kept ancestor and some from the identity
+        G = catalog.builtin(name)
+        images = [g.images for g in G.elements]
+        order = list(range(G.order))
+        random.Random(name).shuffle(order)
+        for h in order:
+            conj = G._table.conjugation(h)
+            assert [images[y] for y in conj] == [naive_conjugate(images[h], x) for x in images]
+        filled = {z for z, col in enumerate(G._table._cols) if col is not None}
+        assert filled == {0, *map(G.index_of, G.generators)}  # no column was filled
 
     def test_columns_fill_along_the_breadth_first_tree(self):
         G = catalog.builtin("A6")

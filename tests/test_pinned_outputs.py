@@ -111,6 +111,15 @@ PINNED = {
     "S5": {
         "first": "32f24ee953542b6180c56f80287c03863fcf9b308b81e46131197543f8a7f8dd",
     },
+    "PSL2_7": {
+        "hyperbolic": "15f2789fa1d53f7f7184302ddc136fe367f2e3f4e928ee267eed266e6fb54e8b",
+        "search": "224c3793f5e648112197b6ece294c2a6c718ed557c5f48c2fac46eff7bf00d21",
+        "first": "f3c98d6c341ff65d0b69c508a906b9b63e2e7c81f41f86214e08c00a861f8383",
+    },
+    "A6": {
+        "hyperbolic": "82c11eb22e4c75290a757a9cad96375b8199e62de62a43a26c75bf9ba2f51ab5",
+        "first": "b552758d908698e6e5b7c34a8dca3434f0613abaeed3f3ce52bcfdcab34f0f9c",
+    },
 }
 
 
