@@ -15,8 +15,10 @@ The package is organized as:
 * :mod:`surfmoduli.cli`       the ``surfmoduli`` command-line tool
 
 The names of :mod:`~surfmoduli.bidouble`, :mod:`~surfmoduli.moebius` and
-:mod:`~surfmoduli.braids` are resolved on first access (PEP 562), so a
-group search does not pay for importing them.
+:mod:`~surfmoduli.braids` are resolved on first access (PEP 562), and the
+CLI imports each of them only inside the ``abc``, ``hyperell`` and
+``braid`` commands, so a group search, from Python or the command line,
+does not pay for importing them.
 """
 
 from importlib import import_module as _import_module

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import compress
 from math import isqrt
@@ -34,7 +33,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import GroupMismatch, NonIntegralChi, SurfModuliError
 from .groups import PermGroup, Permutation
-from .invariants import SurfaceInvariants
+from .invariants import SurfaceInvariants, _Record
 from .triangles import (
     SphericalTriple,
     _hyperbolic_orders,
@@ -282,19 +281,24 @@ def structure_invariants(structure: BeauvilleStructure) -> SurfaceInvariants:
     )
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(_Record):
     """One row of a family scan report."""
 
-    group: str
-    order: int
-    beauville: bool
-    structures_found: int
-    elapsed_ms: int
-    error: str | None = None
+    __slots__ = ("group", "order", "beauville", "structures_found", "elapsed_ms", "error")
+
+    def __init__(
+        self,
+        group: str,
+        order: int,
+        beauville: bool,
+        structures_found: int,
+        elapsed_ms: int,
+        error: str | None = None,
+    ):
+        super().__init__(group, order, beauville, structures_found, elapsed_ms, error)
 
     def as_dict(self) -> dict:
-        out = asdict(self)
+        out = dict(zip(self.__slots__, self._values()))
         if self.error is None:
             del out["error"]
         return out

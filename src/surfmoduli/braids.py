@@ -25,6 +25,9 @@ successor is a product of normal forms, so no long word is re-read, and
 the representatives are spelled from the forms.  A normal form with more
 than ``WORD_CAP`` simple factors (10000, the Delta power counted, read at
 call time; pass ``cap=N`` to override it) raises :class:`BudgetExceeded`.
+Every simple factor is a tuple of the strand count, so a normal form on
+more than ``STRAND_CAP`` strands (10^6, read at call time) is refused
+before one is built.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .errors import (
 )
 
 WORD_CAP = 10_000
+STRAND_CAP = 1_000_000
 
 
 class BraidWord:
@@ -188,6 +192,11 @@ class _LeftNormalForms:
     """Left normal forms in the braid group on ``n`` strands."""
 
     def __init__(self, n: int):
+        if n > STRAND_CAP:
+            raise BudgetExceeded(
+                f"B_{n} exceeds STRAND_CAP = {STRAND_CAP} strands;"
+                " set surfmoduli.braids.STRAND_CAP = N to raise it"
+            )
         self.n = n
         self.identity = tuple(range(n))
         self.delta = self.identity[::-1]

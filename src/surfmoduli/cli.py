@@ -23,13 +23,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import beauville as bv
-from . import bidouble as bd
-from . import braids as br
 from . import catalog
-from . import moebius as mb
 from . import triangles as tr
 from .errors import SurfModuliError
 
@@ -215,6 +211,8 @@ def cmd_isogenous_invariants(args):
 
 
 def cmd_abc_invariants(args):
+    from . import bidouble as bd
+
     if args.d is None:
         inv = bd.abc_invariants(bd.AbcType(args.a, args.b, args.c))
         doc = {"a": args.a, "b": args.b, "c": args.c, "d": args.b}
@@ -240,6 +238,8 @@ def cmd_abc_invariants(args):
 
 
 def cmd_abc_diffeo(args):
+    from . import bidouble as bd
+
     s = bd.AbcType(args.a, args.b, args.c)
     s2 = bd.AbcType(args.a2, args.b2, args.c2)
     chain = bd.diffeo_equivalent(s, s2)
@@ -254,6 +254,8 @@ def cmd_abc_diffeo(args):
 
 
 def cmd_abc_nondef(args):
+    from . import bidouble as bd
+
     report = bd.nondef_predicate(args.a, args.b, args.c, args.k)
     doc = report.as_dict()
     rows = [f"a: {args.a}", f"b: {args.b}", f"c: {args.c}", f"k: {args.k}"]
@@ -266,6 +268,8 @@ def cmd_abc_nondef(args):
 
 
 def cmd_abc_classify(args):
+    from . import bidouble as bd
+
     result = bd.enumerate_types(
         args.chi, args.ksq, args.bound, paper_convention=args.paper_ksq
     )
@@ -277,6 +281,10 @@ def cmd_abc_classify(args):
 
 
 def cmd_hyperell_branch(args):
+    from fractions import Fraction
+
+    from . import moebius as mb
+
     param = _parse("--param", args.param, Fraction, "a rational")
     branch = mb.family_branch_set(args.genus, param)
     doc = {
@@ -289,12 +297,16 @@ def cmd_hyperell_branch(args):
     return 0
 
 
-def _parse_branch_set(flag: str, text: str) -> mb.BranchSet:
+def _parse_branch_set(flag: str, text: str):
+    from . import moebius as mb
+
     parse, what = mb.ProjPoint.parse, "a rational or inf"
     return mb.BranchSet([_parse(flag, tok, parse, what) for tok in text.split(",")])
 
 
 def cmd_hyperell_iso(args):
+    from . import moebius as mb
+
     b1 = _parse_branch_set("--set1", args.set1)
     b2 = _parse_branch_set("--set2", args.set2)
     m = mb.moebius_equivalent(b1, b2)
@@ -325,6 +337,8 @@ def _read_ints(name: str, text: str, nested: bool = False):
 
 
 def cmd_braid_equal(args):
+    from . import braids as br
+
     w1 = br.BraidWord.from_ints(args.strands, _read_ints("w1", args.w1))
     w2 = br.BraidWord.from_ints(args.strands, _read_ints("w2", args.w2))
     doc = {
@@ -337,12 +351,16 @@ def cmd_braid_equal(args):
     return 0
 
 
-def _read_factors(args) -> br.Factorization:
+def _read_factors(args):
+    from . import braids as br
+
     factors = _read_ints("factors", args.factors, nested=True)
     return br.Factorization.from_ints(args.strands, factors)
 
 
 def cmd_braid_product(args):
+    from . import braids as br
+
     f = _read_factors(args)
     doc = {
         "strands": args.strands,
@@ -354,6 +372,8 @@ def cmd_braid_product(args):
 
 
 def cmd_braid_orbit(args):
+    from . import braids as br
+
     f = _read_factors(args)
     orbit = br.hurwitz_orbit(f, budget=args.budget)
     doc = {

@@ -62,4 +62,5 @@ class CancelMismatch(SurfModuliError):
 
 
 class BudgetExceeded(SurfModuliError):
-    """A word-length or state budget was exhausted mid-computation."""
+    """A word-length or state budget was exhausted mid-computation, or an
+    input exceeds a size cap (strands, genus) checked before any work."""

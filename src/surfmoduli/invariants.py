@@ -12,30 +12,68 @@ geometric genus ``pg`` are known they must satisfy ``chi = 1 - q + pg``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 
-@dataclass(frozen=True)
-class SurfaceInvariants:
-    chi: int
-    ksq: int
-    e: int
-    tau: int
-    q: Optional[int] = None
-    pg: Optional[int] = None
+class _Record:
+    """Immutable fields named by ``__slots__``: value equality and hashing
+    within one class, a keyword repr, and no assignment after ``__init__``.
+    A subclass's ``__init__`` passes every field, in order, to this one."""
 
-    def __post_init__(self):
-        if self.e != 12 * self.chi - self.ksq:
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (type(self), self._values())
+
+
+class SurfaceInvariants(_Record):
+    __slots__ = ("chi", "ksq", "e", "tau", "q", "pg")
+
+    def __init__(
+        self,
+        chi: int,
+        ksq: int,
+        e: int,
+        tau: int,
+        q: Optional[int] = None,
+        pg: Optional[int] = None,
+    ):
+        super().__init__(chi, ksq, e, tau, q, pg)
+        if e != 12 * chi - ksq:
             raise ValueError("e must equal 12*chi - ksq")
-        if self.tau != self.ksq - 8 * self.chi:
+        if tau != ksq - 8 * chi:
             raise ValueError("tau must equal ksq - 8*chi")
-        if (self.q is None) != (self.pg is None):
+        if (q is None) != (pg is None):
             raise ValueError("q and pg must be given together")
-        if self.q is not None:
-            if self.q < 0 or self.pg < 0:
+        if q is not None:
+            if q < 0 or pg < 0:
                 raise ValueError("q and pg must be nonnegative")
-            if self.chi != 1 - self.q + self.pg:
+            if chi != 1 - q + pg:
                 raise ValueError("chi must equal 1 - q + pg")
 
     @staticmethod

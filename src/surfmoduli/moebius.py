@@ -17,7 +17,9 @@ hyperelliptic curve
     w^2 = (z - a)(z + 2g) * prod_{i=0}^{2g-1} (z - i),
 
 namely {a, -2g, 0, 1, ..., 2g-1}, of size 2g + 2, defined for g >= 3 and
-any rational parameter a avoiding the fixed roots.
+any rational parameter a avoiding the fixed roots.  Genera above
+``GENUS_CAP`` (10^6, read at call time) are refused before a point is
+built.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .errors import ExcludedParameter, SizeMismatch
+from .errors import BudgetExceeded, ExcludedParameter, SizeMismatch
+
+GENUS_CAP = 1_000_000
 
 RationalLike = Union[int, str, Fraction]
 
@@ -209,10 +213,16 @@ def family_branch_set(genus: int, param: RationalLike) -> BranchSet:
     """Branch set {a, -2g, 0, 1, ..., 2g-1} of the one-parameter family.
 
     Raises :class:`ExcludedParameter` when the parameter collides with one
-    of the fixed roots.
+    of the fixed roots, and :class:`BudgetExceeded` above ``GENUS_CAP``
+    (read at call time) before any point is built.
     """
     if genus < 3:
         raise ValueError("the family is defined for genus >= 3")
+    if genus > GENUS_CAP:
+        raise BudgetExceeded(
+            f"genus {genus} exceeds GENUS_CAP = {GENUS_CAP};"
+            " set surfmoduli.moebius.GENUS_CAP = N to raise it"
+        )
     a = Fraction(param)
     fixed = [Fraction(-2 * genus)] + [Fraction(i) for i in range(2 * genus)]
     if a in fixed:

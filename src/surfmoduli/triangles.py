@@ -257,12 +257,13 @@ def enumerate_triples(
     for ir, candidates in groupby(_orbit_candidates(G), key=itemgetter(0)):
         block = []
         for _, ib, ic in candidates:
-            if not G.generates_pair(elements[ir], elements[ib]):
-                continue
+            # orders first: they are lookups, a generation test is a closure
             m = (orders[ir], orders[ib], orders[ic])
             if triple_type is not None and tuple(sorted(m)) != triple_type.orders:
                 continue
             if hyperbolic_only and not _hyperbolic_orders(*m):
+                continue
+            if not G.generates_pair(elements[ir], elements[ib]):
                 continue
             # one int per triple, (a n + b) n + c: it sorts by (a, b) and
             # takes a fifth of the memory of a tuple

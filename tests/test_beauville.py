@@ -20,7 +20,7 @@ from surfmoduli.beauville import (
     structure_invariants,
 )
 from surfmoduli.errors import GroupMismatch, NonIntegralChi, NonIntegralGenus
-from surfmoduli.groups import Permutation, close
+from surfmoduli.groups import PermGroup, Permutation, close
 from surfmoduli.triangles import (
     _genus,
     _hyperbolic_orders,
@@ -267,7 +267,7 @@ class TestCountStructures:
             assert orbits * len(G._inner) == listed[s], (name, s)
 
     @pytest.mark.parametrize("name", ["S4", "C6xC6"])
-    def test_orders_are_tested_before_generation(self, name):
+    def test_orders_are_tested_before_generation(self, name, monkeypatch):
         # the genus formula raises on some non-generating candidates, and on
         # C6xC6 some of them even have hyperbolic orders; the count tests
         # orders first and generation only where the support allows a pair
@@ -285,13 +285,30 @@ class TestCountStructures:
             name == "C6xC6"
         )
         assert count_structures(G) == count_structures(G, stop_at_first=True) == 0
+        # the hyperbolic enumeration tests generation only on candidates
+        # whose orders are hyperbolic
+        hyperbolic = [
+            candidate
+            for candidate in _orbit_candidates(G)
+            if _hyperbolic_orders(*(order(E[i]) for i in candidate))
+        ]
+        calls = []
+        generates_pair = PermGroup.generates_pair
+
+        def counted_generates_pair(self, a, b):
+            calls.append((G.index_of(a), G.index_of(b)))
+            return generates_pair(self, a, b)
+
+        monkeypatch.setattr(PermGroup, "generates_pair", counted_generates_pair)
+        enumerate_triples(G, hyperbolic_only=True)
+        assert calls == [(ir, ib) for ir, ib, _ in hyperbolic]
+        assert len(hyperbolic) < len(list(_orbit_candidates(G)))
 
 
 class TestAbelianRankCut:
     @pytest.mark.parametrize("name", ["C2xC2xC2", "C3xC3xC3xC2", "C5xC5xC5"])
     def test_groups_needing_three_generators_are_not_walked(self, name, monkeypatch):
         from surfmoduli import beauville
-        from surfmoduli.groups import PermGroup
 
         G = catalog.builtin(name)
         expected = {flag: len(search(G, stop_at_first=flag)) for flag in (False, True)}
@@ -413,6 +430,44 @@ class TestInvariants:
             inv = structure_invariants(s)
             assert inv.chi >= 1
             assert inv.ksq == 8 * inv.chi
+
+    def test_records_are_immutable_values_of_their_own_class(self):
+        import copy
+        import pickle
+
+        from surfmoduli.beauville import ScanRow
+        from surfmoduli.invariants import SurfaceInvariants
+
+        inv = SurfaceInvariants(chi=2, ksq=16, e=8, tau=0, q=0, pg=1)
+        row = ScanRow("C5xC5", 25, True, 3, 7)
+        cases = [
+            (inv, (2, 16, 8, 0, 0, 1),
+             "SurfaceInvariants(chi=2, ksq=16, e=8, tau=0, q=0, pg=1)"),
+            (row, ("C5xC5", 25, True, 3, 7, None),
+             "ScanRow(group='C5xC5', order=25, beauville=True, structures_found=3,"
+             " elapsed_ms=7, error=None)"),
+        ]
+        for record, values, text in cases:
+            assert record == type(record)(*values) and hash(record) == hash(values)
+            assert record != values
+            assert repr(record) == text
+            assert pickle.loads(pickle.dumps(record)) == copy.deepcopy(record) == record
+            with pytest.raises(AttributeError, match="cannot assign to field 'order'"):
+                record.order = 1
+            with pytest.raises(AttributeError, match="cannot delete field 'e'"):
+                del record.e
+        assert inv == SurfaceInvariants.from_chi_ksq(2, 16, q=0, pg=1)
+        assert inv != SurfaceInvariants(2, 16, 8, 0) and row != ScanRow("C5xC5", 25, True, 3, 8)
+        assert SurfaceInvariants(1, 8, 4, 0).as_dict() == {"chi": 1, "ksq": 8, "e": 4, "tau": 0}
+        for args, message in [
+            ((1, 8, 5, 0), "e must equal 12"),
+            ((1, 8, 4, 1), "tau must equal"),
+            ((1, 8, 4, 0, 0), "q and pg must be given together"),
+            ((1, 8, 4, 0, -1, -1), "q and pg must be nonnegative"),
+            ((1, 8, 4, 0, 1, 2), "chi must equal 1 - q \\+ pg"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                SurfaceInvariants(*args)
 
     def test_unmarked_flag_present(self, small_catalog):
         s = search(small_catalog["EA5x5"], stop_at_first=True)[0]

@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -142,6 +143,31 @@ class TestBraidEqual:
             hurwitz_orbit(Factorization(3, [w, W(3, [1])]), budget=10)
         assert braid_equal(w, w, cap=18)
         assert len(hurwitz_orbit(Factorization(3, [w, W(3, [1])]), budget=10, cap=10**4)) == 10
+
+    def test_strand_cap_refuses_before_a_factor_is_built(self, monkeypatch):
+        n = braids.STRAND_CAP + 1
+        w = W(n, [1, n - 1])
+        tracemalloc.start()
+        try:
+            for call in (
+                lambda: braid_equal(w, w),
+                lambda: canonical_key(Factorization(n, [w])),
+                lambda: hurwitz_orbit(Factorization(n, [w, w]), budget=10),
+            ):
+                with pytest.raises(
+                    BudgetExceeded,
+                    match=r"^B_1000001 exceeds STRAND_CAP = 1000000 strands;"
+                    r" set surfmoduli.braids.STRAND_CAP = N to raise it$",
+                ):
+                    call()
+            # a factor on n strands would take megabytes
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(braids, "STRAND_CAP", 5)
+        assert braid_equal(W(5, [1, 2, 1]), W(5, [2, 1, 2]))
+        with pytest.raises(BudgetExceeded, match=r"STRAND_CAP = 5 strands"):
+            braid_equal(W(6, [1]), W(6, [1]))
 
     def test_cap_raises_exactly_above_the_factor_count(self):
         for w in cancelling_corpus(607, 200):

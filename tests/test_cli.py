@@ -207,6 +207,27 @@ class TestBraidInputShape:
         assert code == 0 and json.loads(out)["equal"] is True
 
 
+class TestSizeCaps:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("braid", "equal", "--strands", "1000001", "[1]", "[1]"),
+             "B_1000001 exceeds STRAND_CAP = 1000000 strands;"
+             " set surfmoduli.braids.STRAND_CAP = N to raise it"),
+            (("braid", "orbit", "--strands", "1000001", "[[1],[2]]"),
+             "B_1000001 exceeds STRAND_CAP = 1000000 strands;"
+             " set surfmoduli.braids.STRAND_CAP = N to raise it"),
+            (("hyperell", "branch", "--genus", "1000001", "--param", "1/2"),
+             "genus 1000001 exceeds GENUS_CAP = 1000000;"
+             " set surfmoduli.moebius.GENUS_CAP = N to raise it"),
+        ],
+        ids=["braid-equal", "braid-orbit", "hyperell-branch"],
+    )
+    def test_a_size_cap_is_one_line_naming_it(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 class TestNumberInputs:
     @pytest.mark.parametrize(
         "argv, message",

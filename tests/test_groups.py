@@ -139,7 +139,7 @@ class TestClassMasks:
     def test_lazy_facts_are_not_built_with_the_group(self):
         G = catalog.builtin("A6")
         facts = ("_class_of", "_power_masks", "_classes", "_inner", "_automorphisms",
-                 "_conjugators", "_class_firsts", "_class_orders")
+                 "_class_firsts", "_class_orders")
         for fact in facts:
             assert fact not in G.__dict__, fact
         # the closure hands over only the Cayley graph: the generator columns

@@ -3,11 +3,13 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from surfmoduli.errors import ExcludedParameter, SizeMismatch
+from surfmoduli import moebius
+from surfmoduli.errors import BudgetExceeded, ExcludedParameter, SizeMismatch
 from surfmoduli.moebius import (
     BranchSet,
     MoebiusMap,
@@ -225,6 +227,24 @@ class TestFamilyBranchSet:
     def test_genus_bound(self):
         with pytest.raises(ValueError):
             family_branch_set(2, 99)
+
+    def test_genus_cap_refuses_before_a_point_is_built(self, monkeypatch):
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                BudgetExceeded,
+                match=r"^genus 1000001 exceeds GENUS_CAP = 1000000;"
+                r" set surfmoduli.moebius.GENUS_CAP = N to raise it$",
+            ):
+                family_branch_set(moebius.GENUS_CAP + 1, Fraction(1, 2))
+            # 2 * 10^6 points would take hundreds of megabytes
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(moebius, "GENUS_CAP", 4)
+        assert len(family_branch_set(4, 99)) == 10
+        with pytest.raises(BudgetExceeded, match=r"GENUS_CAP = 4;"):
+            family_branch_set(5, 99)
 
 
 class TestEquivalence:

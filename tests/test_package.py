@@ -1,6 +1,8 @@
 """The package namespace: every public name resolves, and importing the
-package leaves the braid, Moebius and bidouble modules unloaded."""
+package or the CLI leaves the braid, Moebius and bidouble modules, and the
+stdlib modules only they need, unloaded."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -19,12 +21,20 @@ def _python(code: str) -> str:
 
 
 def test_import_leaves_the_lazy_modules_unloaded():
-    out = _python(
-        "import sys, surfmoduli\n"
-        "print(sorted(m for m in ('braids', 'moebius', 'bidouble')"
-        " if 'surfmoduli.' + m in sys.modules))"
-    )
-    assert out == "[]\n"
+    lazy = {f"surfmoduli.{m}" for m in ("braids", "moebius", "bidouble")}
+    for module in ("surfmoduli", "surfmoduli.cli"):
+        # site hooks may preload stdlib modules: only what the import adds counts
+        out = _python(
+            "import importlib, sys\n"
+            "before = set(sys.modules)\n"
+            f"module = importlib.import_module({module!r})\n"
+            "if hasattr(module, 'build_parser'):\n"
+            "    module.build_parser()\n"
+            "print(sorted(set(sys.modules) - before))"
+        )
+        added = set(ast.literal_eval(out))
+        assert module in added
+        assert not added & (lazy | {"dataclasses", "fractions"}), module
 
 
 def test_every_public_name_resolves():
