@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import time
 from collections import Counter
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 from itertools import compress
 from math import isqrt
 from operator import attrgetter, or_
-from typing import Iterable, Iterator, Sequence
 
 from .errors import GroupMismatch, NonIntegralChi, SurfModuliError
 from .groups import PermGroup, Permutation
@@ -209,14 +209,26 @@ def _support_orbits(G: PermGroup, stop_at_first: bool = False) -> dict[int, int]
     generating candidate (n(s) is 0 or 1), and the walk stops once two
     realized supports are compatible.  An abelian group that needs three
     generators has no generating triple, so it returns before the walk.
+
+    In an abelian group, x -> x^k with gcd(k, exp G) = 1 is an
+    automorphism that keeps element orders, power masks and generation,
+    and every generator r' of <r> is r^k for such a k.  It maps the
+    candidates led by r one to one onto those led by r', support by
+    support, so the walk leads only with the first class of each rational
+    class (one element per cyclic subgroup) and counts each generating
+    candidate once per class of that rational class (phi(ord r) times).
     """
     elements, class_of = G.elements, G._class_of
     order_of = [G._class_orders[ci] for ci in class_of]
-    if G.is_abelian and _needs_three_generators(order_of):
-        return {}
+    leaders, weight = None, [1] * len(G._class_firsts)
+    if G.is_abelian:
+        if _needs_three_generators(order_of):
+            return {}
+        weight = Counter(G._rational_leaders)
+        leaders = list(weight)  # in class order: a leader is its rational class's first class
     mask_of = [G._power_masks[ci] for ci in class_of]
     candidates: dict[int, list[tuple[int, int]]] = {}
-    for ir, ib, ic in _orbit_candidates(G):
+    for ir, ib, ic in _orbit_candidates(G, leaders):
         if _hyperbolic_orders(order_of[ir], order_of[ib], order_of[ic]):
             candidates.setdefault(mask_of[ir] | mask_of[ib] | mask_of[ic], []).append((ir, ib))
     n: dict[int, int] = {}
@@ -225,7 +237,7 @@ def _support_orbits(G: PermGroup, stop_at_first: bool = False) -> dict[int, int]
             continue
         tests = (G.generates_pair(elements[ir], elements[ib]) for ir, ib in pairs)
         if not stop_at_first:
-            n[s] = sum(tests)
+            n[s] = sum(weight[class_of[ir]] for (ir, _), t in zip(pairs, tests) if t)
         elif any(tests):
             n[s] = 1
             if any(s & t == 1 for t in n):

@@ -18,9 +18,9 @@ images, and lines starting with ``#`` are comments.
 from __future__ import annotations
 
 import math
+import os
 import re
-from pathlib import Path
-from typing import Iterable, Optional, Union
+from collections.abc import Iterable
 
 from . import groups as _groups
 from .errors import OrderBoundExceeded
@@ -136,7 +136,7 @@ def psl2(p: int) -> PermGroup:
     )
 
 
-def direct_product(*groups: PermGroup, name: Optional[str] = None) -> PermGroup:
+def direct_product(*groups: PermGroup, name: str | None = None) -> PermGroup:
     """Direct product, factors acting on disjoint blocks of points."""
     if not groups:
         raise ValueError("need at least one factor")
@@ -199,8 +199,10 @@ def builtin(name: str) -> PermGroup:
     return factors[0] if len(factors) == 1 else direct_product(*factors, name=token)
 
 
-def from_file(path: Union[str, Path]) -> PermGroup:
+def from_file(path: str | os.PathLike) -> PermGroup:
     """Read a group from the plain-text file format."""
+    from pathlib import Path
+
     path = Path(path)
     try:
         lines = path.read_text().splitlines()
@@ -234,7 +236,9 @@ def from_file(path: Union[str, Path]) -> PermGroup:
     return close(gens, name=path.stem)
 
 
-def to_file(group: PermGroup, path: Union[str, Path]) -> None:
+def to_file(group: PermGroup, path: str | os.PathLike) -> None:
+    from pathlib import Path
+
     path = Path(path)
     lines = [f"degree {group.degree}"]
     lines += [" ".join(map(str, g.images)) for g in group.generators]
@@ -247,11 +251,7 @@ def resolve(ref: str) -> PermGroup:
     try:
         return builtin(ref)
     except ValueError as exc:
-        try:
-            is_file = Path(ref).is_file()
-        except OSError:  # e.g. a name too long for the file system
-            is_file = False
-        if is_file:
+        if os.path.isfile(ref):  # False also for a name too long for the file system
             return from_file(ref)
         if isinstance(exc, _NotABuiltinName):
             raise ValueError(f"{ref!r} is neither a builtin group name nor a file") from None

@@ -16,10 +16,12 @@ normal closures, generation tests, triple enumeration and equivalence,
 least conjugators and automorphisms all read these index arrays.  The
 action of G on itself by conjugation is read off the same tree: one array
 per generator, and the array of any other element composed from them
-along its tree path, so conjugation fills no product-table column.  After
-construction only :attr:`PermGroup.is_abelian` multiplies
-:class:`Permutation` objects; they are otherwise read for element orders
-and at I/O.
+along its tree path, so conjugation fills no product-table column.
+Element orders and power masks come from one walk along a product-table
+column per rational class (the classes of the generators of one cyclic
+subgroup, up to conjugacy).  After construction only
+:attr:`PermGroup.is_abelian` multiplies :class:`Permutation` objects;
+they are otherwise read only at I/O.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ import math
 import operator
 from array import array
 from collections import Counter
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import AutBoundExceeded, DegreeMismatch, OrderBoundExceeded
 
@@ -256,11 +258,11 @@ class _ProductTable:
         self._code = _typecode(order)
         self.elements, self.index, self.parent, self.via = elements, index, parent, via
         self.cayley = tuple(array(self._code, col) for col in cayley)
-        self._cols: list[Optional[array]] = [None] * order
+        self._cols: list[array | None] = [None] * order
         self._cols[0] = array(self._code, range(order))
         for col in self.cayley:
             self._cols[col[0]] = col  # entry 0 is the identity times g: g
-        self._conj: list[Optional[array]] = [None] * order
+        self._conj: list[array | None] = [None] * order
 
     def column(self, y: int) -> array:
         """Column ``y``: the index of ``x * y`` at position ``x``."""
@@ -361,7 +363,7 @@ class PermGroup:
         degree: int,
         generators: Sequence[Permutation],
         table: _ProductTable,
-        name: Optional[str] = None,
+        name: str | None = None,
     ):
         self.degree = degree
         self.generators = tuple(generators)
@@ -457,26 +459,51 @@ class PermGroup:
         return firsts
 
     @cached_property
+    def _power_walks(self) -> tuple[list[int], list[int], list[int]]:
+        """Per class: the order of its elements, the bitmask of the classes
+        their powers meet, and the leading class of its rational class.
+
+        The rational class of x is the union of the classes of the x^k
+        with gcd(k, ord x) = 1.  These generate <x>, so they share x's
+        order and power mask, and one walk serves them all.  The rational
+        class's first class leads it: its first element x is walked along
+        its product-table column (entry j is the index of
+        ``elements[j] * x``) back to the identity, and the walk's length
+        and mask go to every class met at an exponent coprime to it.
+        Only the leaders' columns are filled.
+        """
+        class_of, table = self._class_of, self._table
+        count = len(self._class_firsts)
+        # the identity class (class 0) leads itself, with order 1 and mask 1
+        orders, masks, leader = [1] * count, [1] * count, [0] + [-1] * (count - 1)
+        for ci, x in enumerate(self._class_firsts):
+            if leader[ci] >= 0:
+                continue
+            col, powers, mask, j = table.column(x), [], 1, x
+            while j:  # the identity has index 0
+                powers.append(class_of[j])
+                mask |= 1 << class_of[j]
+                j = col[j]
+            m = len(powers) + 1
+            for k, cj in enumerate(powers, 1):
+                if math.gcd(k, m) == 1:
+                    orders[cj], masks[cj], leader[cj] = m, mask, ci
+        return orders, masks, leader
+
+    @cached_property
     def _class_orders(self) -> list[int]:
         """Per class, the order of its elements."""
-        return [self.elements[x].order() for x in self._class_firsts]
+        return self._power_walks[0]
 
     @cached_property
     def _power_masks(self) -> list[int]:
-        """Per class, the bitmask of the classes its elements' powers meet.
+        """Per class, the bitmask of the classes its elements' powers meet."""
+        return self._power_walks[1]
 
-        The powers of g are walked along g's product-table column: entry
-        j of that column is the index of ``elements[j] * g``.
-        """
-        class_of, table = self._class_of, self._table
-        masks = []
-        for j in self._class_firsts:
-            col, mask = table.column(j), 1
-            while j:  # the identity has index 0
-                mask |= 1 << class_of[j]
-                j = col[j]
-            masks.append(mask)
-        return masks
+    @cached_property
+    def _rational_leaders(self) -> list[int]:
+        """Per class, the leading class of its rational class."""
+        return self._power_walks[2]
 
     def power_class_signature(self, g: Permutation) -> int:
         """Bitmask of the classes met by the powers of ``g``.
@@ -568,7 +595,7 @@ class PermGroup:
 
     def _extend_generator_images(
         self, target: "PermGroup", images: Sequence[int]
-    ) -> Optional[list[int]]:
+    ) -> list[int] | None:
         """Extend a generator assignment, given as target element indices.
 
         The first edge ``p -> p * g`` into each element sets its image to
@@ -657,7 +684,7 @@ class GroupMap:
         source: PermGroup,
         target: PermGroup,
         images: Sequence[Permutation],
-        _full_images: Optional[list[int]] = None,
+        _full_images: list[int] | None = None,
     ):
         if len(images) != len(source.generators):
             raise ValueError("one image per source generator is required")
@@ -729,8 +756,8 @@ class GroupMap:
 
 def close(
     generators: Sequence[Permutation],
-    name: Optional[str] = None,
-    bound: Optional[int] = None,
+    name: str | None = None,
+    bound: int | None = None,
 ) -> PermGroup:
     """Materialize the group generated by ``generators``.
 

@@ -12,8 +12,6 @@ geometric genus ``pg`` are known they must satisfy ``chi = 1 - q + pg``.
 
 from __future__ import annotations
 
-from typing import Optional
-
 
 class _Record:
     """Immutable fields named by ``__slots__``: value equality and hashing
@@ -60,8 +58,8 @@ class SurfaceInvariants(_Record):
         ksq: int,
         e: int,
         tau: int,
-        q: Optional[int] = None,
-        pg: Optional[int] = None,
+        q: int | None = None,
+        pg: int | None = None,
     ):
         super().__init__(chi, ksq, e, tau, q, pg)
         if e != 12 * chi - ksq:
@@ -78,7 +76,7 @@ class SurfaceInvariants(_Record):
 
     @staticmethod
     def from_chi_ksq(
-        chi: int, ksq: int, q: Optional[int] = None, pg: Optional[int] = None
+        chi: int, ksq: int, q: int | None = None, pg: int | None = None
     ) -> "SurfaceInvariants":
         return SurfaceInvariants(
             chi=chi, ksq=ksq, e=12 * chi - ksq, tau=ksq - 8 * chi, q=q, pg=pg

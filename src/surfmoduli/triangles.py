@@ -16,9 +16,9 @@ automorphism of G, inner for marked equivalence, carries one to the other.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import groupby
 from operator import itemgetter
-from typing import Literal, Optional
 
 from .errors import GroupMismatch, NonIntegralGenus
 from .groups import PermGroup, Permutation
@@ -185,11 +185,12 @@ def _hyperbolic_orders(m1: int, m2: int, m3: int) -> bool:
     return m1 * m2 + m1 * m3 + m2 * m3 < m1 * m2 * m3
 
 
-def _orbit_candidates(G: PermGroup):
+def _orbit_candidates(G: PermGroup, classes: Iterable[int] | None = None):
     """One candidate ``(ir, ib, ic)`` per orbit of Inn(G) on pairs led by
     a class representative, as element indices with ``c = (r b)^-1``.
 
-    For each class representative r, in class order, b runs over the
+    For each class representative r, in class order (or for the classes
+    whose indices ``classes`` names, in that order), b runs over the
     element indices and only the first b of each orbit of the centraliser
     C_G(r) is yielded: (r, b) and (r, h b h^-1) with h in C_G(r) are
     conjugate, and every conjugate of a pair has a first entry conjugate
@@ -205,8 +206,8 @@ def _orbit_candidates(G: PermGroup):
     index, table, n = G._index, G._table, G.order
     inv = table.inverse
     transversal = [index[h] for h in G._inner.values()][1:]
-    firsts = G._class_firsts
-    for cls in G.conjugacy_classes():
+    firsts, all_classes = G._class_firsts, G.conjugacy_classes()
+    for cls in all_classes if classes is None else map(all_classes.__getitem__, classes):
         ir = index[cls.representative]
         col = table.column(inv[ir])
         if len(cls) == 1:
@@ -228,7 +229,7 @@ def _orbit_candidates(G: PermGroup):
 
 def enumerate_triples(
     G: PermGroup,
-    triple_type: Optional[TripleType] = None,
+    triple_type: TripleType | None = None,
     hyperbolic_only: bool = False,
 ) -> list[SphericalTriple]:
     """All generating triples of G, optionally filtered by type.
@@ -280,7 +281,7 @@ def enumerate_triples(
 def triples_equivalent(
     t1: SphericalTriple,
     t2: SphericalTriple,
-    mode: Literal["marked", "unmarked"] = "marked",
+    mode: str = "marked",
 ) -> bool:
     """Equivalence of triples under inner (marked) or all (unmarked)
     automorphisms, applied componentwise.

@@ -249,6 +249,26 @@ class TestCountStructures:
                 expected = len(search(G, stop_at_first=stop_at_first))
                 assert count_structures(G, stop_at_first) == expected, (G, stop_at_first)
 
+    @pytest.mark.parametrize("name", ["C4xC4", "C8xC2", "C6xC6", "C15", "C5xC10"])
+    def test_abelian_counts_equal_the_listing_length(self, name):
+        # cyclic subgroups with several generators, of mixed orders
+        G = catalog.builtin(name)
+        for stop_at_first in (True, False):
+            expected = len(search(G, stop_at_first=stop_at_first))
+            assert count_structures(G, stop_at_first) == expected, stop_at_first
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_elementary_abelian_count_has_a_closed_form(self, p):
+        # PGL(2, p) is sharply 3-transitive on the p + 1 lines of F_p^2: a
+        # generating triple is an ordered triple of distinct lines <a>, <b>,
+        # <ab> and one of p - 1 choices of a, and a partner's three lines
+        # avoid the first triple's three
+        G = catalog.builtin(f"C{p}xC{p}")
+        expected = (p * p - 1) * (p * p - p) * (p - 1) * (p - 2) * (p - 3) * (p - 4)
+        assert expected == {5: 11520, 7: 725760, 11: 66528000, 13: 311351040}[p]
+        assert count_structures(G) == expected
+        assert count_structures(G, stop_at_first=True) == 1
+
     def test_heisenberg_counts_with_a_proper_centre(self):
         G = heisenberg_mod5()
         assert G.order == 125 and len(G._inner) == 25
@@ -319,8 +339,8 @@ class TestAbelianRankCut:
             calls["generates_pair"] += 1
             return generates_pair(self, a, b)
 
-        def counted_candidates(group):
-            for candidate in _orbit_candidates(group):
+        def counted_candidates(group, classes=None):
+            for candidate in _orbit_candidates(group, classes):
                 calls["candidates"] += 1
                 yield candidate
 
@@ -337,14 +357,49 @@ class TestAbelianRankCut:
         G = catalog.builtin("C7xC7xC2")
         walked = []
 
-        def counted_candidates(group):
-            for candidate in _orbit_candidates(group):
+        def counted_candidates(group, classes=None):
+            for candidate in _orbit_candidates(group, classes):
                 walked.append(candidate)
                 yield candidate
 
         monkeypatch.setattr(beauville, "_orbit_candidates", counted_candidates)
         assert count_structures(G) == len(search(G)) == 0
         assert walked
+
+
+class TestAbelianLeaders:
+    def test_the_walk_leads_with_one_element_per_cyclic_subgroup(self, monkeypatch):
+        # C7xC7: the identity and 8 cyclic subgroups of order 7, each with
+        # 6 generators, so 9 first entries instead of 49
+        from surfmoduli import beauville
+
+        G = catalog.builtin("C7xC7")
+        firsts, tests = set(), []
+        generates_pair = PermGroup.generates_pair
+
+        def counted_generates_pair(self, a, b):
+            tests.append((a, b))
+            return generates_pair(self, a, b)
+
+        def counted_candidates(group, classes=None):
+            for candidate in _orbit_candidates(group, classes):
+                firsts.add(candidate[0])
+                yield candidate
+
+        monkeypatch.setattr(PermGroup, "generates_pair", counted_generates_pair)
+        monkeypatch.setattr(beauville, "_orbit_candidates", counted_candidates)
+        assert count_structures(G) == 725760  # the closed form at p = 7
+        assert len(firsts) == 9 and 0 in firsts
+        assert {G.element_order(G.elements[x]) for x in firsts} == {1, 7}
+        # the unreduced walk tests every hyperbolic candidate: r and b of
+        # order 7 with r b != 1, and every support has a compatible partner
+        unreduced = [
+            (ir, ib)
+            for ir, ib, ic in _orbit_candidates(G)
+            if _hyperbolic_orders(*(G.element_order(G.elements[i]) for i in (ir, ib, ic)))
+        ]
+        assert len(unreduced) == 48 * 47
+        assert len(tests) * 6 == len(unreduced)
 
 
 class TestScan:

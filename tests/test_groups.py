@@ -1,6 +1,7 @@
 """Group core: closure, classes, generation, simplicity, automorphisms."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -139,7 +140,7 @@ class TestClassMasks:
     def test_lazy_facts_are_not_built_with_the_group(self):
         G = catalog.builtin("A6")
         facts = ("_class_of", "_power_masks", "_classes", "_inner", "_automorphisms",
-                 "_class_firsts", "_class_orders")
+                 "_class_firsts", "_class_orders", "_power_walks", "_rational_leaders")
         for fact in facts:
             assert fact not in G.__dict__, fact
         # the closure hands over only the Cayley graph: the generator columns
@@ -164,10 +165,14 @@ class TestClassMasks:
         assert G._power_masks == masks
 
     def test_power_masks_fill_only_the_columns_of_the_class_first_elements(self):
+        # one power walk per rational class: only the leading classes' first
+        # elements (and their tree ancestors) get a column
         G = catalog.builtin("A6")
         table = G._table
         expected = set(map(G.index_of, G.generators))  # the Cayley graph
-        for z in G._class_firsts:
+        leaders = sorted(set(G._rational_leaders))
+        assert len(leaders) < len(G._class_firsts)  # A6's two 5-classes share one walk
+        for z in map(G._class_firsts.__getitem__, leaders):
             expected.add(z)
             while z:
                 z = table.parent[z]
@@ -176,6 +181,31 @@ class TestClassMasks:
         filled = {z for z, col in enumerate(table._cols) if col is not None}
         assert filled == expected
         assert len(filled) < G.order
+
+    @pytest.mark.parametrize("name", ["C60", "C5xC4xC3", "D6", "S5", "A6", "PSL2_7"])
+    def test_orders_are_power_counts_without_permutation_order(self, name, monkeypatch):
+        def refuse(self):
+            raise AssertionError("Permutation.order called")
+
+        monkeypatch.setattr(Permutation, "order", refuse)
+        G = catalog.builtin(name)
+        counts = []
+        for g in G.elements:
+            count, p = 1, g
+            while not p.is_identity():
+                count, p = count + 1, p * g
+            counts.append(count)
+            assert G.element_order(g) == count, g
+        assert G._class_orders == [counts[x] for x in G._class_firsts]
+
+    @pytest.mark.parametrize("name", ["C12", "C5xC4xC3", "D6", "S5", "A6", "PSL2_7"])
+    def test_rational_leaders_are_the_first_class_of_each_cyclic_subgroup_type(self, name):
+        # the rational class of x: the classes of the x^k, gcd(k, ord x) = 1
+        G = catalog.builtin(name)
+        for ci, x in enumerate(G._class_firsts):
+            g, m = G.elements[x], G._class_orders[ci]
+            rational = {G.class_index_of(g**k) for k in range(1, m + 1) if math.gcd(k, m) == 1}
+            assert G._rational_leaders[ci] == min(rational), (name, ci)
 
 
 class TestGenerates:

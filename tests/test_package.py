@@ -1,6 +1,7 @@
 """The package namespace: every public name resolves, and importing the
 package or the CLI leaves the braid, Moebius and bidouble modules, and the
-stdlib modules only they need, unloaded."""
+stdlib modules only they need, unloaded; the package loads neither
+``typing`` nor ``pathlib``."""
 
 import ast
 import os
@@ -13,10 +14,11 @@ import surfmoduli
 SRC = str(Path(surfmoduli.__file__).resolve().parent.parent)
 
 
-def _python(code: str) -> str:
+def _python(code: str, *flags: str) -> str:
     env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
     ).stdout
 
 
@@ -35,6 +37,18 @@ def test_import_leaves_the_lazy_modules_unloaded():
         added = set(ast.literal_eval(out))
         assert module in added
         assert not added & (lazy | {"dataclasses", "fractions"}), module
+
+
+def test_import_without_site_hooks_loads_neither_typing_nor_pathlib():
+    # site hooks may preload both; without them the import must not add them
+    out = _python(
+        "import sys\nbefore = set(sys.modules)\nimport surfmoduli\n"
+        "print(sorted(set(sys.modules) - before))",
+        "-S",
+    )
+    added = set(ast.literal_eval(out))
+    assert "surfmoduli.beauville" in added
+    assert not added & {"typing", "pathlib"}
 
 
 def test_every_public_name_resolves():
