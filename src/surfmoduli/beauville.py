@@ -114,18 +114,28 @@ def _least_conjugator(t: SphericalTriple) -> Permutation:
 
     h is unique, as Inn(G) acts freely on generating triples; it also makes
     any pair (t, t2) least, because a pair's key starts with t's key.  The
-    first two entries fix the third, so they alone are compared, read off
-    the conjugation arrays of the group's product table, in two stages: as
-    h runs over the transversal, h a h^-1 runs over the class of a, so only
-    the h sending a to the least element of its class (its representative)
-    can win, and the second entries decide among those.
+    first two entries fix the third, so they alone are compared, in two
+    stages.  As h runs over the transversal, h a h^-1 runs over the class
+    of a, so only the h sending a to the least element l of its class (its
+    representative) can win.  These are the h with h a = l h, read off two
+    product-table columns: h a is entry h of the column of a, and l h is
+    the inverse of h^-1 l^-1, entry h^-1 of the column of l^-1.  (In
+    :func:`search` a is l, and triple enumeration has filled both
+    columns.)  The second entries decide among the kept h, so conjugation
+    arrays are built for those alone.
     """
     G = t.group
     table, index, elements = G._table, G._index, G.elements
+    inv = table.inverse
     a, b = index[t.a], index[t.b]
     least = index[G.conjugacy_classes()[G._class_of[a]].representative]
-    kept = [h for h in G._inner.values() if table.conjugation(index[h])[a] == least]
-    return min(kept, key=lambda h: elements[table.conjugation(index[h])[b]].images)
+    col_a, col_l = table.column(a), table.column(inv[least])
+    kept = [
+        h
+        for h in map(index.__getitem__, G._inner.values())
+        if col_a[h] == inv[col_l[inv[h]]]
+    ]
+    return elements[min(kept, key=lambda h: elements[table.conjugation(h)[b]].images)]
 
 
 def _supports(G: PermGroup, triples: Sequence[SphericalTriple]) -> Iterator[int]:
@@ -228,7 +238,7 @@ def _support_orbits(G: PermGroup, stop_at_first: bool = False) -> dict[int, int]
         leaders = list(weight)  # in class order: a leader is its rational class's first class
     mask_of = [G._power_masks[ci] for ci in class_of]
     candidates: dict[int, list[tuple[int, int]]] = {}
-    for ir, ib, ic in _orbit_candidates(G, leaders):
+    for ir, ib, ic, _ in _orbit_candidates(G, leaders):
         if _hyperbolic_orders(order_of[ir], order_of[ib], order_of[ic]):
             candidates.setdefault(mask_of[ir] | mask_of[ib] | mask_of[ic], []).append((ir, ib))
     n: dict[int, int] = {}

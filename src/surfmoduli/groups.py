@@ -247,10 +247,12 @@ class _ProductTable:
     conjugation by p.  So the array of h is the per-generator arrays of
     :attr:`_by_generator` chained along h's path up to the nearest element
     whose array is kept, read in one C-level pass.  Only the arrays asked
-    for are kept, so asking in breadth-first order (as triple enumeration
-    does) reads one chained array per new one, and a sparse request (a
-    few centraliser elements deep in the tree) keeps no ancestor.  No
-    column is filled.
+    for are kept: asking in breadth-first order reads one chained array
+    per new one, and a sparse request (the centraliser elements that
+    triple enumeration and least conjugators ask for, deep in the tree)
+    keeps no ancestor.  No column is filled.  Where a whole conjugacy
+    class is wanted, the per-generator arrays themselves serve: triple
+    enumeration walks each class along them.
     """
 
     def __init__(self, elements, index, cayley, parent, via):

@@ -186,8 +186,9 @@ def _hyperbolic_orders(m1: int, m2: int, m3: int) -> bool:
 
 
 def _orbit_candidates(G: PermGroup, classes: Iterable[int] | None = None):
-    """One candidate ``(ir, ib, ic)`` per orbit of Inn(G) on pairs led by
-    a class representative, as element indices with ``c = (r b)^-1``.
+    """One candidate ``(ir, ib, ic, orbit)`` per orbit of Inn(G) on pairs
+    led by a class representative, as element indices with
+    ``c = (r b)^-1``, and ``orbit`` the indices of b's C_G(r)-orbit.
 
     For each class representative r, in class order (or for the classes
     whose indices ``classes`` names, in that order), b runs over the
@@ -197,22 +198,29 @@ def _orbit_candidates(G: PermGroup, classes: Iterable[int] | None = None):
     to r.  So each candidate that generates stands for exactly one
     Inn(G)-orbit of generating triples.  For a central r the orbits are
     the conjugacy classes, and b runs over their first elements.
-    Otherwise the orbits are marked by the conjugation arrays of the
+    Otherwise the orbits are read off the conjugation arrays of the
     elements h of the centre transversal ``G._inner`` with h r = r h,
     found from the columns of r and r^-1 (r h is the inverse of
-    h^-1 r^-1), so only those arrays are built.  c is read off the
-    product-table column of r^-1 (c = b^-1 r^-1).
+    h^-1 r^-1), so only those arrays are built; the orbit lists b first
+    and then its image under each of them.  When (r, b) generates, only
+    Z(G) centralises both, so the orbit has no repeats.  c is read off
+    the product-table column of r^-1 (c = b^-1 r^-1).
     """
     index, table, n = G._index, G._table, G.order
     inv = table.inverse
     transversal = [index[h] for h in G._inner.values()][1:]
     firsts, all_classes = G._class_firsts, G.conjugacy_classes()
+    members = None  # per class, its element indices
     for cls in all_classes if classes is None else map(all_classes.__getitem__, classes):
         ir = index[cls.representative]
         col = table.column(inv[ir])
         if len(cls) == 1:
-            for ib in firsts:
-                yield ir, ib, col[inv[ib]]
+            if members is None:
+                members = [[] for _ in firsts]
+                for x, ci in enumerate(G._class_of):
+                    members[ci].append(x)
+            for ib, orbit in zip(firsts, members):
+                yield ir, ib, col[inv[ib]], orbit
             continue
         col_r = table.column(ir)
         centraliser = [
@@ -222,9 +230,12 @@ def _orbit_candidates(G: PermGroup, classes: Iterable[int] | None = None):
         for ib in range(n):
             if marked[ib]:
                 continue
+            orbit = [ib]
             for conj in centraliser:
-                marked[conj[ib]] = 1
-            yield ir, ib, col[inv[ib]]
+                x = conj[ib]
+                marked[x] = 1
+                orbit.append(x)
+            yield ir, ib, col[inv[ib]], orbit
 
 
 def enumerate_triples(
@@ -236,28 +247,28 @@ def enumerate_triples(
 
     The generating candidates of :func:`_orbit_candidates` are one triple
     per Inn(G)-orbit; generation, type and genus are conjugation
-    invariant.  Inn(G) acts freely on generating triples, so conjugating
-    each kept triple by every element of the centre transversal
-    ``G._inner`` gives each triple of its orbit exactly once, covering
-    every first entry in the class of r.  The output order is
-    deterministic: by conjugacy class of the first entry, then by element
-    index of the first and second entries.
+    invariant.  So the triples led by a class representative r are the
+    kept candidates' C_G(r)-orbits: the *led block* of r, its second
+    entries b sorted, each third entry read off the column of r^-1.  The
+    class of r is then walked breadth-first along conjugation by each
+    generator s (``_ProductTable._by_generator``): a new first entry
+    s a s^-1 takes the block of a conjugated by s, both entry lists
+    mapped in one C-level pass.  The output order is deterministic: by
+    conjugacy class of the first entry, then by element index of the
+    first and second entries.
 
-    The search runs on element indices: conjugation arrays come from the
-    group's product table (asked for in element order, so the chain of
-    each usually starts at its kept tree parent), types and hyperbolicity
-    from the per-class orders.  Each output triple is built once, from
-    ``G.elements``, after its block is sorted.
+    The search runs on element indices: types and hyperbolicity come from
+    the per-class orders, and each output triple is built once, from
+    ``G.elements``, after its first entry's block is sorted.
     """
-    elements, index, n = G.elements, G._index, G.order
-    nn = n * n
+    elements = G.elements
     orders = [G._class_orders[ci] for ci in G._class_of]
-    # conjugation by the centre transversal minus the identity
-    conjugations = [G._table.conjugation(index[h]) for h in list(G._inner.values())[1:]]
+    table = G._table
+    inv, by_generator = table.inverse, table._by_generator
     full: list[SphericalTriple] = []
     for ir, candidates in groupby(_orbit_candidates(G), key=itemgetter(0)):
-        block = []
-        for _, ib, ic in candidates:
+        led: list[int] = []
+        for _, ib, ic, orbit in candidates:
             # orders first: they are lookups, a generation test is a closure
             m = (orders[ir], orders[ib], orders[ic])
             if triple_type is not None and tuple(sorted(m)) != triple_type.orders:
@@ -266,15 +277,32 @@ def enumerate_triples(
                 continue
             if not G.generates_pair(elements[ir], elements[ib]):
                 continue
-            # one int per triple, (a n + b) n + c: it sorts by (a, b) and
-            # takes a fifth of the memory of a tuple
-            block.append((ir * n + ib) * n + ic)
-            block.extend((conj[ir] * n + conj[ib]) * n + conj[ic] for conj in conjugations)
-        block.sort()
-        full += [
-            SphericalTriple(G, elements[k // nn], elements[k // n % n], elements[k % n], False)
-            for k in block
-        ]
+            led += orbit
+        if not led:
+            continue
+        led.sort()
+        col = table.column(inv[ir])
+        # first entry -> its block: the second entries and the third entries
+        blocks = {ir: (led, list(map(col.__getitem__, map(inv.__getitem__, led))))}
+        reached = [ir]
+        for a in reached:
+            seconds, thirds = blocks[a]
+            for s in by_generator:  # x -> s x s^-1
+                x = s[a]
+                if x not in blocks:
+                    blocks[x] = list(map(s.__getitem__, seconds)), list(map(s.__getitem__, thirds))
+                    reached.append(x)
+        reached.sort()
+        for a in reached:
+            seconds, thirds = blocks.pop(a)
+            if a != ir:  # r's block is sorted by b already
+                by_b = sorted(range(len(seconds)), key=seconds.__getitem__)
+                seconds, thirds = map(seconds.__getitem__, by_b), map(thirds.__getitem__, by_b)
+            x = elements[a]
+            full += [
+                SphericalTriple(G, x, elements[b], elements[c], False)
+                for b, c in zip(seconds, thirds)
+            ]
     return full
 
 

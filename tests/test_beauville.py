@@ -162,6 +162,16 @@ class TestSearch:
             least = min(transversal, key=lambda h: t.conjugated_by(h).key()[:2])
             assert _least_conjugator(t) is least, (name, t)
 
+    @pytest.mark.parametrize("name", ["A6", "PSL2_7"])
+    def test_first_structure_builds_conjugation_arrays_for_centralisers_only(self, name):
+        # the triple listing carries each first entry's block along the
+        # generator conjugations, and the least conjugator reads two columns,
+        # so arrays are built for centraliser elements, not for the whole
+        # centre transversal (one array per element of A6 or PSL2_7)
+        G = catalog.builtin(name)
+        search(G, stop_at_first=True)
+        assert sum(c is not None for c in G._table._conj) < G.order // 4
+
     @pytest.mark.parametrize("name", ["S5", "PSL2_7", "D6", "EA5x5"])
     def test_search_supports_equal_sigma_class_indices(self, name):
         # every generating triple, hyperbolic or not: D6 has no hyperbolic one
@@ -294,7 +304,7 @@ class TestCountStructures:
         G = catalog.builtin(name)
         E, order = G.elements, G.element_order
         non_generating = [
-            [order(E[i]) for i in candidate]
+            [order(E[i]) for i in candidate[:3]]
             for candidate in _orbit_candidates(G)
             if not G.generates_pair(E[candidate[0]], E[candidate[1]])
         ]
@@ -310,7 +320,7 @@ class TestCountStructures:
         hyperbolic = [
             candidate
             for candidate in _orbit_candidates(G)
-            if _hyperbolic_orders(*(order(E[i]) for i in candidate))
+            if _hyperbolic_orders(*(order(E[i]) for i in candidate[:3]))
         ]
         calls = []
         generates_pair = PermGroup.generates_pair
@@ -321,7 +331,7 @@ class TestCountStructures:
 
         monkeypatch.setattr(PermGroup, "generates_pair", counted_generates_pair)
         enumerate_triples(G, hyperbolic_only=True)
-        assert calls == [(ir, ib) for ir, ib, _ in hyperbolic]
+        assert calls == [(ir, ib) for ir, ib, _, _ in hyperbolic]
         assert len(hyperbolic) < len(list(_orbit_candidates(G)))
 
 
@@ -395,7 +405,7 @@ class TestAbelianLeaders:
         # order 7 with r b != 1, and every support has a compatible partner
         unreduced = [
             (ir, ib)
-            for ir, ib, ic in _orbit_candidates(G)
+            for ir, ib, ic, _ in _orbit_candidates(G)
             if _hyperbolic_orders(*(G.element_order(G.elements[i]) for i in (ir, ib, ic)))
         ]
         assert len(unreduced) == 48 * 47

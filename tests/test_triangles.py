@@ -116,8 +116,10 @@ class TestEnumeration:
         )
 
     def test_agrees_with_naive_double_loop(self, small_catalog):
-        for name in ("C6", "S3", "A4", "S4", "D4", "EA3x3", "EA5x5"):
-            G = small_catalog[name]
+        # C3xS3 and D6 have a centre of order 3 and 2: central first entries
+        # other than the identity, and a proper centre transversal
+        for name in ("C6", "S3", "A4", "S4", "D4", "EA3x3", "EA5x5", "C3xS3", "D6"):
+            G = small_catalog.get(name) or catalog.builtin(name)
             # the documented order: class of a, then index of a, then of b
             oracle = sorted(
                 naive_triples(G),
