@@ -117,24 +117,16 @@ def _least_conjugator(t: SphericalTriple) -> Permutation:
     first two entries fix the third, so they alone are compared, in two
     stages.  As h runs over the transversal, h a h^-1 runs over the class
     of a, so only the h sending a to the least element l of its class (its
-    representative) can win.  These are the h with h a = l h, read off two
-    product-table columns: h a is entry h of the column of a, and l h is
-    the inverse of h^-1 l^-1, entry h^-1 of the column of l^-1.  (In
-    :func:`search` a is l, and triple enumeration has filled both
-    columns.)  The second entries decide among the kept h, so conjugation
-    arrays are built for those alone.
+    representative) can win: ``G._conjugating(a, l)``.  (In :func:`search`
+    a is l, and triple enumeration has filled both columns it reads.)  The
+    second entries decide among the kept h, so conjugation arrays are
+    built for those alone.
     """
     G = t.group
     table, index, elements = G._table, G._index, G.elements
-    inv = table.inverse
     a, b = index[t.a], index[t.b]
     least = index[G.conjugacy_classes()[G._class_of[a]].representative]
-    col_a, col_l = table.column(a), table.column(inv[least])
-    kept = [
-        h
-        for h in map(index.__getitem__, G._inner.values())
-        if col_a[h] == inv[col_l[inv[h]]]
-    ]
+    kept = G._conjugating(a, least)
     return elements[min(kept, key=lambda h: elements[table.conjugation(h)[b]].images)]
 
 

@@ -6,7 +6,7 @@ Names understood by :func:`builtin`:
 * ``D<n>``       dihedral of order 2n acting on the n-gon, n >= 3
 * ``S<n>``       symmetric group on n points
 * ``A<n>``       alternating group on n points, n >= 3
-* ``EA<p>x<p>``  elementary abelian (Z/p)^2 on 2p points
+* ``EA<p>x<p>``  elementary abelian (Z/p)^2 on 2p points, p prime
 * ``PSL2_<p>``   PSL(2, p) on the projective line (p + 1 points), p prime <= 31
 * products joined with ``x``, e.g. ``C4xC2`` (factors act on disjoint points)
 
@@ -97,10 +97,10 @@ def alternating(n: int) -> PermGroup:
 
 
 def elementary_abelian(p: int) -> PermGroup:
-    """(Z/p)^2 as two disjoint p-cycles on 2p points."""
-    if p < 2:
-        raise ValueError("need p >= 2")
+    """(Z/p)^2, p prime, as two disjoint p-cycles on 2p points."""
     _refuse_above_bound(f"EA{p}x{p}", [p, p], 2 * p)
+    if not _is_prime(p):
+        raise ValueError(f"p must be a prime, got {p}; use C{p}xC{p} for (Z/{p})^2")
     x = Permutation.from_cycles(2 * p, list(range(1, p + 1)))
     y = Permutation.from_cycles(2 * p, list(range(p + 1, 2 * p + 1)))
     return close([x, y], name=f"EA{p}x{p}")

@@ -576,12 +576,12 @@ class PermGroup:
         return all(self.normal_closure_size(elements[x]) == n for x in self._class_firsts[1:])
 
     @cached_property
-    def _inner(self) -> dict[tuple, Permutation]:
+    def _inner(self) -> dict[tuple, int]:
         """Inner automorphisms, keyed by their generator images' indices.
 
         Conjugation by ``h`` depends only on the coset ``hZ(G)``, so each
-        key maps to the first element (in element order) inducing it: the
-        values are a transversal of the centre, identity first.  h sends a
+        key maps to the least element index inducing it: the values are a
+        transversal of the centre, identity (0) first.  h sends a
         generator g to ``f[h^-1]``, where ``f[y] = y^-1 g y`` is filled
         along the tree: ``f[p s] = s^-1 f[p] s``, a conjugator lookup.
         """
@@ -590,10 +590,24 @@ class PermGroup:
         for col in table.cayley:
             f = table.walk(col[0], table.conjugators)  # the identity conjugates g to g
             images.append(map(f.__getitem__, table.inverse))
-        out: dict[tuple, Permutation] = {}
-        for h, key in zip(self.elements, zip(*images)):
+        out: dict[tuple, int] = {}
+        for h, key in enumerate(zip(*images)):
             out.setdefault(key, h)
         return out
+
+    def _conjugating(self, x: int, y: int) -> list[int]:
+        """The indices h in the centre transversal ``_inner``, in its order,
+        with ``h x h^-1 = y``: none unless y is in x's class, and with
+        ``y = x`` the transversal's part of the centraliser of x.
+
+        These are the h with h x = y h, read off two product-table
+        columns: h x is entry h of the column of x, and y h is the inverse
+        of h^-1 y^-1, entry h^-1 of the column of y^-1.
+        """
+        table = self._table
+        inv = table.inverse
+        col_x, col_y = table.column(x), table.column(inv[y])
+        return [h for h in self._inner.values() if col_x[h] == inv[col_y[inv[h]]]]
 
     def _extend_generator_images(
         self, target: "PermGroup", images: Sequence[int]

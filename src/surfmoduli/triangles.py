@@ -196,36 +196,26 @@ def _orbit_candidates(G: PermGroup, classes: Iterable[int] | None = None):
     C_G(r) is yielded: (r, b) and (r, h b h^-1) with h in C_G(r) are
     conjugate, and every conjugate of a pair has a first entry conjugate
     to r.  So each candidate that generates stands for exactly one
-    Inn(G)-orbit of generating triples.  For a central r the orbits are
-    the conjugacy classes, and b runs over their first elements.
-    Otherwise the orbits are read off the conjugation arrays of the
-    elements h of the centre transversal ``G._inner`` with h r = r h,
-    found from the columns of r and r^-1 (r h is the inverse of
-    h^-1 r^-1), so only those arrays are built; the orbit lists b first
-    and then its image under each of them.  When (r, b) generates, only
-    Z(G) centralises both, so the orbit has no repeats.  c is read off
-    the product-table column of r^-1 (c = b^-1 r^-1).
+    Inn(G)-orbit of generating triples.  The orbits are read off the
+    conjugation arrays of the centre transversal elements h != 1 with
+    h r h^-1 = r (``G._conjugating(r, r)``), so only those arrays are
+    built; the orbit lists b first and then its image under each of
+    them.  When (r, b) generates, only Z(G) centralises both, so the
+    orbit has no repeats.  In an abelian G the transversal is the
+    identity alone, so each orbit is one element; in a non-abelian G a
+    central r (the identity too) leads no candidate, as (r, b) then
+    generates an abelian group.  c is read off the product-table column
+    of r^-1 (c = b^-1 r^-1).
     """
     index, table, n = G._index, G._table, G.order
     inv = table.inverse
-    transversal = [index[h] for h in G._inner.values()][1:]
-    firsts, all_classes = G._class_firsts, G.conjugacy_classes()
-    members = None  # per class, its element indices
+    all_classes = G.conjugacy_classes()
     for cls in all_classes if classes is None else map(all_classes.__getitem__, classes):
+        if len(cls) == 1 and not G.is_abelian:
+            continue
         ir = index[cls.representative]
         col = table.column(inv[ir])
-        if len(cls) == 1:
-            if members is None:
-                members = [[] for _ in firsts]
-                for x, ci in enumerate(G._class_of):
-                    members[ci].append(x)
-            for ib, orbit in zip(firsts, members):
-                yield ir, ib, col[inv[ib]], orbit
-            continue
-        col_r = table.column(ir)
-        centraliser = [
-            table.conjugation(h) for h in transversal if col_r[h] == inv[col[inv[h]]]
-        ]
+        centraliser = list(map(table.conjugation, G._conjugating(ir, ir)[1:]))
         marked = bytearray(n)
         for ib in range(n):
             if marked[ib]:

@@ -157,7 +157,7 @@ class TestSearch:
     @pytest.mark.parametrize("name", ["S4", "D4", "C3xS3", "PSL2_7"])
     def test_least_conjugator_is_the_least_over_the_whole_transversal(self, name):
         G = catalog.builtin(name)
-        transversal = list(G._inner.values())
+        transversal = [G.elements[h] for h in G._inner.values()]
         for t in enumerate_triples(G)[:: max(1, G.order // 24)]:
             least = min(transversal, key=lambda h: t.conjugated_by(h).key()[:2])
             assert _least_conjugator(t) is least, (name, t)

@@ -172,3 +172,11 @@ def test_unreadable_references_fail_in_one_line(tmp_path):
     path.write_bytes(b"\xff degree 2\n")
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: 'utf-8' codec"):
         catalog.resolve(str(path))
+
+
+def test_elementary_abelian_needs_a_prime():
+    assert catalog.builtin("EA2x2").order == 4
+    assert catalog.builtin("EA5x5").order == 25
+    with pytest.raises(ValueError, match=r"^p must be a prime, got 6; use C6xC6 for"):
+        catalog.builtin("EA6x6")
+    assert catalog.builtin("C6xC6").order == 36

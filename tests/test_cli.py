@@ -292,6 +292,21 @@ class TestGroupReferences:
         code, out, err = run(capsys, "group", "info", "--group", name, "--json")
         assert code == 0 and err == "" and json.loads(out)["order"] == 3
 
+    def test_composite_elementary_abelian_points_to_the_product(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # (Z/6)^2 is not elementary abelian; EA<p>x<p> was C6xC6 under that name
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "group", "info", "--group", "EA6x6")
+        assert code == 1 and out == ""
+        assert err == (
+            "error: 'EA6x6' is not a file and not a valid builtin group:"
+            " p must be a prime, got 6; use C6xC6 for (Z/6)^2\n"
+        )
+        for name, order in (("EA2x2", 4), ("EA5x5", 25), ("C6xC6", 36)):
+            code, out, err = run(capsys, "group", "info", "--group", name, "--json")
+            assert code == 0 and err == "" and json.loads(out)["order"] == order
+
     @pytest.mark.parametrize("name", ["D2xfoo", "C2x", "PSL2_x"])
     def test_name_that_does_not_parse_is_neither(self, capsys, monkeypatch, tmp_path, name):
         monkeypatch.chdir(tmp_path)

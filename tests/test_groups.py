@@ -434,11 +434,29 @@ class TestAutomorphisms:
         first = {}  # generator images of conjugation by h -> first such h
         for h in G.elements:
             first.setdefault(tuple(g.conjugated_by(h) for g in G.generators), h)
-        assert list(G._inner.values()) == list(first.values())
+        assert [G.elements[h] for h in G._inner.values()] == list(first.values())
         auts = G.automorphisms()
         for a in auts:
             assert a.is_inner == (a.images in first), a
         assert sum(a.is_inner for a in auts) == len(first)
+
+    @pytest.mark.parametrize("name", ["S4", "D4", "D6", "C3xS3", "PSL2_7", "EA5x5"])
+    def test_conjugating_elements_match_a_scan_of_the_transversal(self, name):
+        G = catalog.builtin(name)
+        E, transversal = G.elements, list(G._inner.values())
+        classes, firsts = G.conjugacy_classes(), G._class_firsts
+
+        def scan(x, y):
+            return [h for h in transversal if E[x].conjugated_by(E[h]) == E[y]]
+
+        for x in range(G.order):
+            ci = G._class_of[x]
+            representative = G.index_of(classes[ci].representative)
+            outside = firsts[(ci + 1) % len(firsts)]
+            assert G._conjugating(x, x) == scan(x, x)
+            assert G._conjugating(x, x)[0] == 0  # the identity centralises x
+            assert G._conjugating(x, representative) == scan(x, representative) != []
+            assert G._conjugating(x, outside) == scan(x, outside) == []
 
     def test_counts_match_brute_force_bijections(self, small_catalog):
         # every bijective generator assignment that extends = automorphism

@@ -16,6 +16,7 @@ from surfmoduli.triangles import (
     SphericalTriple,
     TripleType,
     _hyperbolic_orders,
+    _orbit_candidates,
     branch_permutation_orbit,
     enumerate_triples,
     genus,
@@ -343,6 +344,36 @@ def test_branch_permutation_orbit_lists_the_six_images(small_catalog):
             orbit = branch_permutation_orbit(t)
             assert all(x.group is G for x in orbit)
             assert [x.key() for x in orbit] == sorted(set(_six_images(t.key())))
+
+
+class TestCentralFirstEntries:
+    """With r central, (r, b) generates an abelian group, so in a
+    non-abelian group no candidate is led by a central r."""
+
+    @pytest.mark.parametrize("name", ["C3xS3", "D6", "D4"])
+    def test_no_candidate_is_led_by_a_central_element(self, name):
+        G = catalog.builtin(name)
+        sizes = [len(cls) for cls in G.conjugacy_classes()]
+        central = {x for x, ci in enumerate(G._class_of) if sizes[ci] == 1}
+        assert len(central) > 1  # a centre beyond the identity
+        firsts = {ir for ir, _, _, _ in _orbit_candidates(G)}
+        assert firsts and not firsts & central
+
+    @pytest.mark.parametrize("name, tests", [
+        ("C3xS3", 72), ("S3xC3", 72), ("D6", 32), ("D4", 18), ("D4xC2", 72),
+        ("A6", 393), ("PSL2_13", 1154),
+    ])
+    def test_enumeration_tests_no_pair_led_by_a_central_element(
+        self, monkeypatch, name, tests
+    ):
+        # which candidates are tested depends on their orders only, not on
+        # the outcome of earlier tests, so a stub that answers no counts them
+        G = catalog.builtin(name)
+        calls = []
+        monkeypatch.setattr(PermGroup, "generates_pair", lambda self, a, b: calls.append(a))
+        assert enumerate_triples(G) == []
+        assert len(calls) == tests
+        assert all(len(G.conjugacy_classes()[G.class_index_of(a)]) > 1 for a in calls)
 
 
 class TestOneObjectPerElement:
