@@ -125,8 +125,7 @@ def _least_conjugator(t: SphericalTriple) -> Permutation:
     G = t.group
     table, index, elements = G._table, G._index, G.elements
     a, b = index[t.a], index[t.b]
-    least = index[G.conjugacy_classes()[G._class_of[a]].representative]
-    kept = G._conjugating(a, least)
+    kept = G._conjugating(a, G._class_reps[G._class_of[a]])
     return elements[min(kept, key=lambda h: elements[table.conjugation(h)[b]].images)]
 
 
@@ -158,7 +157,7 @@ def search(G: PermGroup, stop_at_first: bool = False) -> list[BeauvilleStructure
     and conjugates the pair into canonical form.
     """
     second = enumerate_triples(G, hyperbolic_only=True)
-    reps = {id(cls.representative) for cls in G.conjugacy_classes()}
+    reps = {id(G.elements[x]) for x in G._class_reps}
     led = list(compress(second, map(reps.__contains__, map(id, map(attrgetter("a"), second)))))
     realized = set(_supports(G, led))
     # the listing reads every support, the first structure those up to its partner

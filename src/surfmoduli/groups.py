@@ -435,13 +435,23 @@ class PermGroup:
         return class_of
 
     @cached_property
+    def _class_reps(self) -> list[int]:
+        """Per class, the index of its representative: its lexicographically
+        least element."""
+        elements, reps = self.elements, list(self._class_firsts)
+        for x, ci in enumerate(self._class_of):
+            if elements[x].images < elements[reps[ci]].images:
+                reps[ci] = x
+        return reps
+
+    @cached_property
     def _classes(self) -> tuple[ConjugacyClass, ...]:
-        members: list[list[Permutation]] = [[] for _ in range(max(self._class_of) + 1)]
+        members: list[list[Permutation]] = [[] for _ in self._class_reps]
         for g, ci in zip(self.elements, self._class_of):
             members[ci].append(g)
         return tuple(
-            ConjugacyClass(min(m, key=lambda p: p.images), frozenset(m))
-            for m in members
+            ConjugacyClass(self.elements[x], frozenset(m))
+            for x, m in zip(self._class_reps, members)
         )
 
     def conjugacy_classes(self) -> tuple[ConjugacyClass, ...]:
@@ -629,14 +639,22 @@ class PermGroup:
         return full
 
     def automorphisms(self) -> list["GroupMap"]:
-        """All automorphisms, by backtracking over generator images.
+        """All automorphisms, one coset of Inn(G) at a time.
 
-        Candidate images are constrained to elements of the same order
-        lying in a conjugacy class of the same size; partial assignments
-        are pruned when a product order disagrees.  Each returned map is
-        flagged inner or outer.  Raises :class:`AutBoundExceeded` when the
-        group is larger than ``AUT_BOUND``.  The search runs once per
-        group; each call returns a fresh list of the same maps.
+        Aut(G) is the union of the cosets phi Inn(G), and each coset holds
+        a map sending the first generator to the first element of its
+        class (``_class_firsts``).  So the search backtracks over
+        generator images with the first image a class first of the same
+        order and class size, and the others any element of the same
+        order and class size; partial assignments are pruned when a
+        product order disagrees, and an assignment already listed belongs
+        to a filled coset and is not extended.  Each new automorphism phi
+        fills its coset: the maps ``x -> h phi(x) h^-1`` for h in the
+        centre transversal ``_inner``, read off their conjugation arrays.
+        Those |G:Z(G)| arrays are kept afterwards.  Each returned map is flagged
+        inner or outer.  Raises :class:`AutBoundExceeded` when the group
+        is larger than ``AUT_BOUND``.  The search runs once per group;
+        each call returns a fresh list of the same maps.
         """
         return list(self._automorphisms)
 
@@ -656,21 +674,30 @@ class PermGroup:
             [t for t, ci in enumerate(class_of) if kind[ci] == kind[class_of[g]]]
             for g in gens
         ]
+        # every coset holds a map sending the first generator to a class first
+        first = kind[class_of[gens[0]]]
+        candidates[0] = [x for x in self._class_firsts if kind[class_of[x]] == first]
         pair_orders = [
             [order_of[table.column(g)[gens[j]]] for j in range(pos)]
             for pos, g in enumerate(gens)
         ]
+        # the identity's composite is the map itself
+        inner = list(map(table.conjugation, list(self._inner.values())[1:]))
 
-        found: list[GroupMap] = []
+        found: dict[tuple, list[int]] = {}  # generator images -> full images
         assignment: list[int] = []
         columns: list[array] = []  # the columns of the assigned images
 
         def backtrack(pos: int):
             if pos == len(gens):
+                key = tuple(assignment)
+                if key in found:  # its coset is filled
+                    return
                 full = self._extend_generator_images(self, assignment)
                 if full is not None and len(set(full)) == self.order:
-                    images = [self.elements[t] for t in assignment]
-                    found.append(GroupMap(self, self, images, _full_images=full))
+                    found[key] = full
+                    for conj in inner:
+                        found[tuple(map(conj.__getitem__, key))] = list(map(conj.__getitem__, full))
                 return
             # x t and t x are conjugate, so the order of x t is read off x's column
             for t in candidates[pos]:
@@ -682,8 +709,11 @@ class PermGroup:
                     columns.pop()
 
         backtrack(0)
-        found.sort(key=lambda m: tuple(p.images for p in m.images))
-        return tuple(found)
+        elements = self.elements
+        maps = [GroupMap(self, self, [elements[t] for t in key], _full_images=full)
+                for key, full in found.items()]
+        maps.sort(key=lambda m: tuple(p.images for p in m.images))
+        return tuple(maps)
 
 
 class GroupMap:

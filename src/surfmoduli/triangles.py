@@ -16,6 +16,7 @@ automorphism of G, inner for marked equivalence, carries one to the other.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable
 from itertools import groupby
 from operator import itemgetter
@@ -190,12 +191,12 @@ def _orbit_candidates(G: PermGroup, classes: Iterable[int] | None = None):
     led by a class representative, as element indices with
     ``c = (r b)^-1``, and ``orbit`` the indices of b's C_G(r)-orbit.
 
-    For each class representative r, in class order (or for the classes
-    whose indices ``classes`` names, in that order), b runs over the
-    element indices and only the first b of each orbit of the centraliser
-    C_G(r) is yielded: (r, b) and (r, h b h^-1) with h in C_G(r) are
-    conjugate, and every conjugate of a pair has a first entry conjugate
-    to r.  So each candidate that generates stands for exactly one
+    For each class representative r (``G._class_reps``), in class order
+    (or for the classes whose indices ``classes`` names, in that order),
+    b runs over the element indices and only the first b of each orbit of
+    the centraliser C_G(r) is yielded: (r, b) and (r, h b h^-1) with h in
+    C_G(r) are conjugate, and every conjugate of a pair has a first entry
+    conjugate to r.  So each candidate that generates stands for exactly one
     Inn(G)-orbit of generating triples.  The orbits are read off the
     conjugation arrays of the centre transversal elements h != 1 with
     h r h^-1 = r (``G._conjugating(r, r)``), so only those arrays are
@@ -207,13 +208,12 @@ def _orbit_candidates(G: PermGroup, classes: Iterable[int] | None = None):
     generates an abelian group.  c is read off the product-table column
     of r^-1 (c = b^-1 r^-1).
     """
-    index, table, n = G._index, G._table, G.order
-    inv = table.inverse
-    all_classes = G.conjugacy_classes()
-    for cls in all_classes if classes is None else map(all_classes.__getitem__, classes):
-        if len(cls) == 1 and not G.is_abelian:
+    table, n, reps = G._table, G.order, G._class_reps
+    inv, sizes = table.inverse, Counter(G._class_of)
+    for ci in range(len(reps)) if classes is None else classes:
+        if sizes[ci] == 1 and not G.is_abelian:
             continue
-        ir = index[cls.representative]
+        ir = reps[ci]
         col = table.column(inv[ir])
         centraliser = list(map(table.conjugation, G._conjugating(ir, ir)[1:]))
         marked = bytearray(n)

@@ -69,6 +69,33 @@ def naive_is_simple(G):
     return normal_orders == {1, G.order}
 
 
+def naive_automorphisms(G):
+    """The generator images of every automorphism, sorted: each assignment
+    of elements to the generators is spread over G along words in them,
+    rejected where one element gets two images, and kept when its values
+    are the whole closure of the generators (a surjective endomap of a
+    finite group is bijective)."""
+    gens = G.generators
+    group = naive_mulclose(gens)
+    out = []
+    for images in itertools.product(G.elements, repeat=len(gens)):
+        f = {G.identity: G.identity}
+        work = [G.identity]
+        while work and f is not None:
+            x = work.pop()
+            for g, t in zip(gens, images):
+                y, fy = x * g, f[x] * t
+                if y not in f:
+                    f[y] = fy
+                    work.append(y)
+                elif f[y] != fy:
+                    f = None
+                    break
+        if f is not None and set(f.values()) == group:
+            out.append(tuple(t.images for t in images))
+    return sorted(out)
+
+
 def naive_triples(G):
     """All generating triples by the raw |G|^2 double loop."""
     out = []

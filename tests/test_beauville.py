@@ -335,6 +335,13 @@ class TestCountStructures:
         assert len(hyperbolic) < len(list(_orbit_candidates(G)))
 
 
+    def test_counts_build_no_conjugacy_class_objects(self):
+        # the candidate walk reads class representatives as element indices
+        for G in [*catalog.abelian_catalog(60), *map(catalog.builtin, ("S4", "A5", "PSL2_7"))]:
+            count_structures(G)
+            assert "_classes" not in G.__dict__, G.name
+
+
 class TestAbelianRankCut:
     @pytest.mark.parametrize("name", ["C2xC2xC2", "C3xC3xC3xC2", "C5xC5xC5"])
     def test_groups_needing_three_generators_are_not_walked(self, name, monkeypatch):

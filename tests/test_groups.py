@@ -7,6 +7,7 @@ import random
 import pytest
 from conftest import (
     naive_conjugacy_partition,
+    naive_automorphisms,
     naive_conjugate,
     naive_is_simple,
     naive_mulclose,
@@ -14,7 +15,7 @@ from conftest import (
 
 from surfmoduli import catalog
 from surfmoduli.errors import AutBoundExceeded, DegreeMismatch, OrderBoundExceeded
-from surfmoduli.groups import GroupMap, Permutation, close
+from surfmoduli.groups import GroupMap, PermGroup, Permutation, close
 from surfmoduli.triangles import SphericalTriple
 
 
@@ -140,7 +141,8 @@ class TestClassMasks:
     def test_lazy_facts_are_not_built_with_the_group(self):
         G = catalog.builtin("A6")
         facts = ("_class_of", "_power_masks", "_classes", "_inner", "_automorphisms",
-                 "_class_firsts", "_class_orders", "_power_walks", "_rational_leaders")
+                 "_class_firsts", "_class_reps", "_class_orders", "_power_walks",
+                 "_rational_leaders")
         for fact in facts:
             assert fact not in G.__dict__, fact
         # the closure hands over only the Cayley graph: the generator columns
@@ -457,6 +459,49 @@ class TestAutomorphisms:
             assert G._conjugating(x, x)[0] == 0  # the identity centralises x
             assert G._conjugating(x, representative) == scan(x, representative) != []
             assert G._conjugating(x, outside) == scan(x, outside) == []
+
+    @pytest.mark.parametrize(
+        "name", ["S3", "D4", "D6", "A4", "S4", "C2xC2xC2", "D4xC2", "C3xS3", "EA3x3", "A5"]
+    )
+    def test_matches_the_generator_image_oracle(self, name):
+        G = catalog.builtin(name)
+        listed = [tuple(p.images for p in a.images) for a in G.automorphisms()]
+        assert listed == naive_automorphisms(G)
+
+    @pytest.mark.parametrize(
+        "name, order, inner",
+        [
+            ("A6", 1440, 360),  # |Out(A6)| = 4
+            ("S6", 1440, 720),  # S6's outer automorphism
+            ("S5", 120, 120),
+            ("PSL2_11", 1320, 660),  # Aut(PSL(2, p)) = PGL(2, p)
+            ("PSL2_13", 2184, 1092),
+            ("EA5x5", 480, 1),  # |GL(2, 5)|
+        ],
+    )
+    def test_classical_automorphism_group_orders(self, name, order, inner):
+        G = catalog.builtin(name)
+        auts = G.automorphisms()
+        assert len(auts) == order
+        assert sum(a.is_inner for a in auts) == len(G._inner) == inner
+
+    @pytest.mark.parametrize("name", ["PSL2_7", "PSL2_11", "S4", "S5"])
+    def test_each_found_automorphism_fills_its_coset_of_the_inner_ones(
+        self, name, monkeypatch
+    ):
+        # an assignment is extended only when no coset found so far holds
+        # it, so there are fewer extensions than inner automorphisms
+        calls = []
+        extend = PermGroup._extend_generator_images
+
+        def counting(self, target, images):
+            calls.append(tuple(images))
+            return extend(self, target, images)
+
+        monkeypatch.setattr(PermGroup, "_extend_generator_images", counting)
+        G = catalog.builtin(name)
+        G.automorphisms()
+        assert 0 < len(calls) < len(G._inner), len(calls)
 
     def test_counts_match_brute_force_bijections(self, small_catalog):
         # every bijective generator assignment that extends = automorphism
