@@ -284,8 +284,7 @@ class _ProductTable:
         ``v[p * g_k] = arrays[k][v[p]]`` for each tree edge.
 
         With the Cayley columns as ``arrays`` this is left translation by
-        ``elements[start]``; with any maps that respect the edges it is
-        the homomorphism they define.
+        ``elements[start]``.
         """
         v = [start] * len(self.elements)
         for y, p, k in zip(range(1, len(v)), self.parent[1:], self.via[1:]):
@@ -619,24 +618,29 @@ class PermGroup:
         col_x, col_y = table.column(x), table.column(inv[y])
         return [h for h in self._inner.values() if col_x[h] == inv[col_y[inv[h]]]]
 
-    def _extend_generator_images(
-        self, target: "PermGroup", images: Sequence[int]
+    def _extend(
+        self, sources: Sequence[int], target: "PermGroup", images: Sequence[int]
     ) -> list[int] | None:
-        """Extend a generator assignment, given as target element indices.
+        """Extend ``sources[k] -> images[k]`` to a homomorphism into ``target``.
 
-        The first edge ``p -> p * g`` into each element sets its image to
-        the image of p times the image of g, read off the target's column
-        of that image; then every edge of the Cayley graph must agree.
-        Returns the target element index of each element's image when the
-        assignment respects every product, else ``None``.
+        One breadth-first walk from the identity along the product-table
+        columns of the source indices, which generate this group, reads the
+        target's columns of the image indices alongside: the first edge into
+        an element sets its image, and every later edge must agree.  Returns
+        each element's image index, or ``None`` at the first disagreement.
         """
-        cols = [target._table.column(t) for t in images]
-        table = self._table
-        full = table.walk(0, cols)
-        for edges, col in zip(table.cayley, cols):
-            if not all(map(operator.eq, map(full.__getitem__, edges), map(col.__getitem__, full))):
-                return None
-        return full
+        column, target_column = self._table.column, target._table.column
+        edges = [(column(s), target_column(t)) for s, t in zip(sources, images)]
+        image, reached = [0] + [-1] * (self.order - 1), [0]
+        for x in reached:
+            for source_col, target_col in edges:
+                x1, y1 = source_col[x], target_col[image[x]]
+                if image[x1] < 0:
+                    image[x1] = y1
+                    reached.append(x1)
+                elif image[x1] != y1:
+                    return None
+        return image
 
     def automorphisms(self) -> list["GroupMap"]:
         """All automorphisms, one coset of Inn(G) at a time.
@@ -648,13 +652,16 @@ class PermGroup:
         order and class size, and the others any element of the same
         order and class size; partial assignments are pruned when a
         product order disagrees, and an assignment already listed belongs
-        to a filled coset and is not extended.  Each new automorphism phi
-        fills its coset: the maps ``x -> h phi(x) h^-1`` for h in the
-        centre transversal ``_inner``, read off their conjugation arrays.
-        Those |G:Z(G)| arrays are kept afterwards.  Each returned map is flagged
-        inner or outer.  Raises :class:`AutBoundExceeded` when the group
-        is larger than ``AUT_BOUND``.  The search runs once per group;
-        each call returns a fresh list of the same maps.
+        to a filled coset and is not extended; any other is extended by
+        :meth:`_extend` and kept if the extension is bijective.  Each new
+        automorphism phi fills its coset: the maps ``x -> h phi(x) h^-1``
+        for h in the centre transversal ``_inner``, read off their
+        conjugation arrays.  Those |G:Z(G)| arrays are kept afterwards.
+        Each returned map is flagged inner or outer.  Raises
+        :class:`AutBoundExceeded` when the group is larger than
+        ``AUT_BOUND``, or once the maps listed hold more than
+        ``ENTRY_BOUND`` image entries (|G| per map).  The search runs once
+        per group; each call returns a fresh list of the same maps.
         """
         return list(self._automorphisms)
 
@@ -693,11 +700,17 @@ class PermGroup:
                 key = tuple(assignment)
                 if key in found:  # its coset is filled
                     return
-                full = self._extend_generator_images(self, assignment)
+                full = self._extend(gens, self, assignment)
                 if full is not None and len(set(full)) == self.order:
                     found[key] = full
                     for conj in inner:
                         found[tuple(map(conj.__getitem__, key))] = list(map(conj.__getitem__, full))
+                    if len(found) * self.order > ENTRY_BOUND:
+                        raise AutBoundExceeded(
+                            f"{len(found)} automorphisms of a group of order {self.order}"
+                            f" exceed ENTRY_BOUND = {ENTRY_BOUND} image entries;"
+                            " set surfmoduli.groups.ENTRY_BOUND = N to raise it"
+                        )
                 return
             # x t and t x are conjugate, so the order of x t is read off x's column
             for t in candidates[pos]:
@@ -719,8 +732,8 @@ class PermGroup:
 class GroupMap:
     """A homomorphism between materialized groups, given on generators.
 
-    The generator assignment is extended along the source's Cayley graph
-    at construction, which also checks it against every product of an
+    The generator assignment is extended at construction by
+    :meth:`PermGroup._extend`, which checks it against every product of an
     element and a generator; an assignment that does not extend to a
     homomorphism raises ``ValueError``.
     """
@@ -738,9 +751,8 @@ class GroupMap:
         self.target = target
         self.images = tuple(target.elements[target.index_of(t)] for t in images)
         if _full_images is None:
-            _full_images = source._extend_generator_images(
-                target, [target._index[t] for t in self.images]
-            )
+            gens = [source._index[g] for g in source.generators]
+            _full_images = source._extend(gens, target, [target._index[t] for t in self.images])
             if _full_images is None:
                 raise ValueError(
                     "generator assignment does not extend to a homomorphism"

@@ -187,9 +187,11 @@ def _hyperbolic_orders(m1: int, m2: int, m3: int) -> bool:
 
 
 def _orbit_candidates(G: PermGroup, classes: Iterable[int] | None = None):
-    """One candidate ``(ir, ib, ic, orbit)`` per orbit of Inn(G) on pairs
-    led by a class representative, as element indices with
-    ``c = (r b)^-1``, and ``orbit`` the indices of b's C_G(r)-orbit.
+    """One candidate ``(ir, ib, ic, centraliser)`` per orbit of Inn(G) on
+    pairs led by a class representative, as element indices with
+    ``c = (r b)^-1``, and ``centraliser`` the conjugation arrays that
+    carry b over the rest of its C_G(r)-orbit: one list object, shared by
+    every candidate led by r.
 
     For each class representative r (``G._class_reps``), in class order
     (or for the classes whose indices ``classes`` names, in that order),
@@ -200,10 +202,10 @@ def _orbit_candidates(G: PermGroup, classes: Iterable[int] | None = None):
     Inn(G)-orbit of generating triples.  The orbits are read off the
     conjugation arrays of the centre transversal elements h != 1 with
     h r h^-1 = r (``G._conjugating(r, r)``), so only those arrays are
-    built; the orbit lists b first and then its image under each of
-    them.  When (r, b) generates, only Z(G) centralises both, so the
-    orbit has no repeats.  In an abelian G the transversal is the
-    identity alone, so each orbit is one element; in a non-abelian G a
+    built; b and its image under each of them make up its orbit.  When
+    (r, b) generates, only Z(G) centralises both, so the orbit has no
+    repeats.  In an abelian G the transversal is the identity alone, so
+    the list is empty and each orbit is one element; in a non-abelian G a
     central r (the identity too) leads no candidate, as (r, b) then
     generates an abelian group.  c is read off the product-table column
     of r^-1 (c = b^-1 r^-1).
@@ -220,12 +222,9 @@ def _orbit_candidates(G: PermGroup, classes: Iterable[int] | None = None):
         for ib in range(n):
             if marked[ib]:
                 continue
-            orbit = [ib]
             for conj in centraliser:
-                x = conj[ib]
-                marked[x] = 1
-                orbit.append(x)
-            yield ir, ib, col[inv[ib]], orbit
+                marked[conj[ib]] = 1
+            yield ir, ib, col[inv[ib]], centraliser
 
 
 def enumerate_triples(
@@ -239,7 +238,8 @@ def enumerate_triples(
     per Inn(G)-orbit; generation, type and genus are conjugation
     invariant.  So the triples led by a class representative r are the
     kept candidates' C_G(r)-orbits: the *led block* of r, its second
-    entries b sorted, each third entry read off the column of r^-1.  The
+    entries the kept b's and their images under each of r's centraliser
+    arrays, sorted, each third entry read off the column of r^-1.  The
     class of r is then walked breadth-first along conjugation by each
     generator s (``_ProductTable._by_generator``): a new first entry
     s a s^-1 takes the block of a conjugated by s, both entry lists
@@ -257,8 +257,8 @@ def enumerate_triples(
     inv, by_generator = table.inverse, table._by_generator
     full: list[SphericalTriple] = []
     for ir, candidates in groupby(_orbit_candidates(G), key=itemgetter(0)):
-        led: list[int] = []
-        for _, ib, ic, orbit in candidates:
+        kept: list[int] = []
+        for _, ib, ic, centraliser in candidates:
             # orders first: they are lookups, a generation test is a closure
             m = (orders[ir], orders[ib], orders[ic])
             if triple_type is not None and tuple(sorted(m)) != triple_type.orders:
@@ -267,9 +267,12 @@ def enumerate_triples(
                 continue
             if not G.generates_pair(elements[ir], elements[ib]):
                 continue
-            led += orbit
-        if not led:
+            kept.append(ib)
+        if not kept:
             continue
+        led = list(kept)
+        for conj in centraliser:  # r's list, the same for all its candidates
+            led += map(conj.__getitem__, kept)
         led.sort()
         col = table.column(inv[ir])
         # first entry -> its block: the second entries and the third entries
@@ -304,25 +307,18 @@ def triples_equivalent(
     """Equivalence of triples under inner (marked) or all (unmarked)
     automorphisms, applied componentwise.
 
-    a1 and b1 generate G, so one breadth-first walk along x -> x a1, x b1,
-    with y -> y a2, y b2 alongside, builds the only candidate map; unless
-    it reaches an element with two images, it is an automorphism (c follows).
+    a1 and b1 generate G, so the only candidate map is the extension of
+    a1 -> a2, b1 -> b2 by :meth:`PermGroup._extend`; if it exists, it maps
+    onto <a2, b2> = G, so it is an automorphism (c follows).
     """
     if t1.group is not t2.group:
         raise GroupMismatch("triples live on different groups")
     if mode not in ("marked", "unmarked"):
         raise ValueError(f"unknown mode {mode!r}")
-    G, index, column = t1.group, t1.group._index, t1.group._table.column
-    edges = [(column(index[x]), column(index[y])) for x, y in ((t1.a, t2.a), (t1.b, t2.b))]
-    image, reached = [0] + [-1] * (G.order - 1), [0]
-    for x in reached:
-        for col1, col2 in edges:
-            x1, y1 = col1[x], col2[image[x]]
-            if image[x1] < 0:
-                image[x1] = y1
-                reached.append(x1)
-            elif image[x1] != y1:
-                return False
+    G, index = t1.group, t1.group._index
+    image = G._extend((index[t1.a], index[t1.b]), G, (index[t2.a], index[t2.b]))
+    if image is None:
+        return False
     return mode == "unmarked" or tuple(image[index[g]] for g in G.generators) in G._inner
 
 

@@ -477,6 +477,10 @@ class TestAutomorphisms:
             ("PSL2_11", 1320, 660),  # Aut(PSL(2, p)) = PGL(2, p)
             ("PSL2_13", 2184, 1092),
             ("EA5x5", 480, 1),  # |GL(2, 5)|
+            # abelian, so Inn(G) is trivial and every map is its own coset
+            ("C2xC2xC2xC2", 20160, 1),  # |GL(4, 2)|
+            ("C3xC3xC3", 11232, 1),  # |GL(3, 3)|
+            ("EA7x7", 2016, 1),  # |GL(2, 7)|
         ],
     )
     def test_classical_automorphism_group_orders(self, name, order, inner):
@@ -492,16 +496,29 @@ class TestAutomorphisms:
         # an assignment is extended only when no coset found so far holds
         # it, so there are fewer extensions than inner automorphisms
         calls = []
-        extend = PermGroup._extend_generator_images
+        extend = PermGroup._extend
 
-        def counting(self, target, images):
+        def counting(self, sources, target, images):
             calls.append(tuple(images))
-            return extend(self, target, images)
+            return extend(self, sources, target, images)
 
-        monkeypatch.setattr(PermGroup, "_extend_generator_images", counting)
+        monkeypatch.setattr(PermGroup, "_extend", counting)
         G = catalog.builtin(name)
         G.automorphisms()
         assert 0 < len(calls) < len(G._inner), len(calls)
+
+    def test_the_listing_is_capped_by_entry_bound(self, monkeypatch):
+        # |Aut(C2^4)| = |GL(4, 2)| = 20160 maps of 16 image entries each;
+        # the listing is cached per group, so each bound gets a fresh one
+        monkeypatch.setattr("surfmoduli.groups.ENTRY_BOUND", 16 * 1000)
+        with pytest.raises(
+            AutBoundExceeded,
+            match=r"^1001 automorphisms of a group of order 16 exceed ENTRY_BOUND = 16000 "
+            r"image entries; set surfmoduli\.groups\.ENTRY_BOUND = N to raise it$",
+        ):
+            catalog.builtin("C2xC2xC2xC2").automorphisms()
+        monkeypatch.setattr("surfmoduli.groups.ENTRY_BOUND", 16 * 20160)
+        assert len(catalog.builtin("C2xC2xC2xC2").automorphisms()) == 20160
 
     def test_counts_match_brute_force_bijections(self, small_catalog):
         # every bijective generator assignment that extends = automorphism
