@@ -247,12 +247,11 @@ class _ProductTable:
     conjugation by p.  So the array of h is the per-generator arrays of
     :attr:`_by_generator` chained along h's path up to the nearest element
     whose array is kept, read in one C-level pass.  Only the arrays asked
-    for are kept: asking in breadth-first order reads one chained array
-    per new one, and a sparse request (the centraliser elements that
-    triple enumeration and least conjugators ask for, deep in the tree)
-    keeps no ancestor.  No column is filled.  Where a whole conjugacy
-    class is wanted, the per-generator arrays themselves serve: triple
-    enumeration walks each class along them.
+    for are kept, and the requests are sparse (the centraliser elements
+    that triple enumeration and least conjugators ask for, deep in the
+    tree), so they keep no ancestor.  No column is filled.  Where a whole
+    conjugacy class is wanted, the per-generator arrays themselves serve:
+    triple enumeration walks each class along them.
     """
 
     def __init__(self, elements, index, cayley, parent, via):
@@ -654,14 +653,15 @@ class PermGroup:
         product order disagrees, and an assignment already listed belongs
         to a filled coset and is not extended; any other is extended by
         :meth:`_extend` and kept if the extension is bijective.  Each new
-        automorphism phi fills its coset: the maps ``x -> h phi(x) h^-1``
-        for h in the centre transversal ``_inner``, read off their
-        conjugation arrays.  Those |G:Z(G)| arrays are kept afterwards.
-        Each returned map is flagged inner or outer.  Raises
-        :class:`AutBoundExceeded` when the group is larger than
-        ``AUT_BOUND``, or once the maps listed hold more than
-        ``ENTRY_BOUND`` image entries (|G| per map).  The search runs once
-        per group; each call returns a fresh list of the same maps.
+        automorphism phi fills its coset with the maps ``phi o c``, c
+        inner: c is given by its key in ``_inner``, the indices of the
+        generators' images, so ``phi o c`` sends generator i to
+        ``phi(key[i])``, one lookup in phi's image list.  No conjugation
+        array is built, and a listed map extends its |G| image entries on
+        first use.  Raises :class:`AutBoundExceeded` when the group is
+        larger than ``AUT_BOUND``, or once the maps listed come to more
+        than ``ENTRY_BOUND`` image entries (|G| per map).  The search runs
+        once per group; each call returns a fresh list of the same maps.
         """
         return list(self._automorphisms)
 
@@ -688,12 +688,8 @@ class PermGroup:
             [order_of[table.column(g)[gens[j]]] for j in range(pos)]
             for pos, g in enumerate(gens)
         ]
-        # the identity's composite is the map itself
-        inner = list(map(table.conjugation, list(self._inner.values())[1:]))
-
-        found: dict[tuple, list[int]] = {}  # generator images -> full images
+        found: set[tuple] = set()  # the generator images of the maps listed
         assignment: list[int] = []
-        columns: list[array] = []  # the columns of the assigned images
 
         def backtrack(pos: int):
             if pos == len(gens):
@@ -702,9 +698,7 @@ class PermGroup:
                     return
                 full = self._extend(gens, self, assignment)
                 if full is not None and len(set(full)) == self.order:
-                    found[key] = full
-                    for conj in inner:
-                        found[tuple(map(conj.__getitem__, key))] = list(map(conj.__getitem__, full))
+                    found.update(tuple(map(full.__getitem__, k)) for k in self._inner)
                     if len(found) * self.order > ENTRY_BOUND:
                         raise AutBoundExceeded(
                             f"{len(found)} automorphisms of a group of order {self.order}"
@@ -713,18 +707,16 @@ class PermGroup:
                         )
                 return
             # x t and t x are conjugate, so the order of x t is read off x's column
+            columns = list(map(table.column, assignment))
             for t in candidates[pos]:
                 if all(order_of[col[t]] == o for col, o in zip(columns, pair_orders[pos])):
                     assignment.append(t)
-                    columns.append(table.column(t))
                     backtrack(pos + 1)
                     assignment.pop()
-                    columns.pop()
 
         backtrack(0)
         elements = self.elements
-        maps = [GroupMap(self, self, [elements[t] for t in key], _full_images=full)
-                for key, full in found.items()]
+        maps = [GroupMap(self, self, [elements[t] for t in key], _check=False) for key in found]
         maps.sort(key=lambda m: tuple(p.images for p in m.images))
         return tuple(maps)
 
@@ -732,10 +724,13 @@ class PermGroup:
 class GroupMap:
     """A homomorphism between materialized groups, given on generators.
 
-    The generator assignment is extended at construction by
-    :meth:`PermGroup._extend`, which checks it against every product of an
-    element and a generator; an assignment that does not extend to a
-    homomorphism raises ``ValueError``.
+    The generator assignment is extended by :meth:`PermGroup._extend`,
+    which checks it against every product of an element and a generator;
+    at construction an assignment that does not extend to a homomorphism
+    raises ``ValueError``.  The maps :meth:`PermGroup.automorphisms` lists
+    are known to extend and are built unchecked (``_check=False``, as in
+    :class:`~surfmoduli.triangles.SphericalTriple`): each fills its image
+    entries on first use.
     """
 
     def __init__(
@@ -743,21 +738,23 @@ class GroupMap:
         source: PermGroup,
         target: PermGroup,
         images: Sequence[Permutation],
-        _full_images: list[int] | None = None,
+        _check: bool = True,
     ):
         if len(images) != len(source.generators):
             raise ValueError("one image per source generator is required")
         self.source = source
         self.target = target
         self.images = tuple(target.elements[target.index_of(t)] for t in images)
-        if _full_images is None:
-            gens = [source._index[g] for g in source.generators]
-            _full_images = source._extend(gens, target, [target._index[t] for t in self.images])
-            if _full_images is None:
-                raise ValueError(
-                    "generator assignment does not extend to a homomorphism"
-                )
-        self._full = _full_images
+        if _check and self._full is None:
+            raise ValueError("generator assignment does not extend to a homomorphism")
+
+    @cached_property
+    def _full(self) -> list[int] | None:
+        """Each source element's image index by :meth:`PermGroup._extend`,
+        or ``None`` when the assignment does not extend."""
+        source, index = self.source, self.target._index
+        gens = [source._index[g] for g in source.generators]
+        return source._extend(gens, self.target, [index[t] for t in self.images])
 
     def __call__(self, g: Permutation) -> Permutation:
         try:
@@ -775,9 +772,9 @@ class GroupMap:
     @cached_property
     def is_inner(self) -> bool:
         """True iff this is conjugation by some element (endomaps only)."""
-        source = self.source
-        key = tuple(self._full[source._index[g]] for g in source.generators)
-        return source is self.target and key in source._inner
+        target = self.target
+        key = tuple(map(target._index.__getitem__, self.images))
+        return self.source is target and key in target._inner
 
     def compose(self, other: "GroupMap") -> "GroupMap":
         """The map ``self o other`` (apply ``other`` first)."""

@@ -520,6 +520,14 @@ class TestAutomorphisms:
         monkeypatch.setattr("surfmoduli.groups.ENTRY_BOUND", 16 * 20160)
         assert len(catalog.builtin("C2xC2xC2xC2").automorphisms()) == 20160
 
+    @pytest.mark.parametrize("name", ["PSL2_7", "A6", "S6"])
+    def test_the_listing_keeps_no_conjugation_array(self, name):
+        # each coset of Inn(G) is filled from the generator-image keys of
+        # _inner, not from the centre transversal's conjugation arrays
+        G = catalog.builtin(name)
+        G.automorphisms()
+        assert not any(conj is not None for conj in G._table._conj)
+
     def test_counts_match_brute_force_bijections(self, small_catalog):
         # every bijective generator assignment that extends = automorphism
         for name in ("C6", "S3"):
@@ -595,9 +603,14 @@ class TestGroupMap:
         with pytest.raises(ValueError):
             m(C2.generators[0])
 
-    def test_mapping_respects_products(self, small_catalog):
-        G = small_catalog["S3"]
+    @pytest.mark.parametrize("name", ["S3", "A4", "D4xC2"])
+    def test_mapping_respects_products(self, name):
+        # a listed map fills its image entries on first use; D4xC2 has
+        # three generators
+        G = catalog.builtin(name)
         for m in G.automorphisms():
+            assert "_full" not in m.__dict__
+            assert m.is_bijective
             for x in G.elements:
                 for y in G.elements:
                     assert m(x * y) == m(x) * m(y)
