@@ -26,34 +26,29 @@ and chains of such steps decide diffeomorphism inside the family.  The
 non-deformation predicate certifies, from four integers (a, b, c, k)
 subject to arithmetic conditions (I)-(IV), that the simple bidouble types
 (2a,2b),(2c,2b) and (2a+2k,2b),(2c-2k,2b) land in different connected
-components of their moduli space.
+components of their moduli space; its report keeps only the four integers
+and derives each clause from them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
 
-from .invariants import SurfaceInvariants
+from .invariants import SurfaceInvariants, _Record
 
 
-@dataclass(frozen=True)
-class BidoubleType:
+class BidoubleType(_Record):
     """Bidegrees ((2a, 2b), (2c, 2d)) of a bidouble cover, a..d >= 3."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        if min(self.a, self.b, self.c, self.d) < 3:
+    def __init__(self, a: int, b: int, c: int, d: int):
+        super().__init__(a, b, c, d)
+        if min(a, b, c, d) < 3:
             raise ValueError("bidouble types need a, b, c, d >= 3")
 
 
-@dataclass(frozen=True)
-class AbcType:
+class AbcType(_Record):
     """A simple-type cover (d = b), entries positive.
 
     Entries below 3 are admitted because the one-step diffeomorphism
@@ -62,12 +57,11 @@ class AbcType:
     types carry the sub-bound flag.
     """
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self):
-        if min(self.a, self.b, self.c) < 1:
+    def __init__(self, a: int, b: int, c: int):
+        super().__init__(a, b, c)
+        if min(a, b, c) < 1:
             raise ValueError("abc types need positive entries")
 
     @property
@@ -75,13 +69,14 @@ class AbcType:
         return min(self.a, self.b, self.c) < 3
 
 
-@dataclass(frozen=True)
-class BidoubleInvariants:
+class BidoubleInvariants(_Record):
     """Surface invariants plus the second ksq convention."""
 
-    invariants: SurfaceInvariants
-    ksq_paper: int
-    below_standard_bound: bool = False
+    __slots__ = ("invariants", "ksq_paper", "below_standard_bound")
+
+    def __init__(self, invariants: SurfaceInvariants, ksq_paper: int,
+                 below_standard_bound: bool = False):
+        super().__init__(invariants, ksq_paper, below_standard_bound)
 
     @property
     def chi(self) -> int:
@@ -142,7 +137,7 @@ def diffeo_step(s: AbcType, s2: AbcType) -> bool:
     return False
 
 
-def diffeo_equivalent(s: AbcType, s2: AbcType) -> Optional[list[AbcType]]:
+def diffeo_equivalent(s: AbcType, s2: AbcType) -> list[AbcType] | None:
     """Chain of elementary steps from ``s`` to ``s2``, or ``None``.
 
     Equivalence requires equal b and equal a+c; the witness chain lists
@@ -172,24 +167,39 @@ _CONDITION_TEXT = {
 }
 
 
-@dataclass(frozen=True)
-class NondefReport:
-    """Truth value of each clause of the non-deformation criterion."""
+class NondefReport(_Record):
+    """The non-deformation criterion for (a, b, c, k).
 
-    a: int
-    b: int
-    c: int
-    k: int
-    conditions: dict = field(compare=False)
+    The four integers are the only fields: the truth value of each clause
+    is derived from them, so equal integers give equal reports.
+    """
+
+    __slots__ = ("a", "b", "c", "k")
+
+    def __init__(self, a: int, b: int, c: int, k: int):
+        super().__init__(a, b, c, k)
+
+    @property
+    def conditions(self) -> dict:
+        """Truth value of each clause, (I) to (IV2) in order."""
+        a, b, c, k = self.a, self.b, self.c, self.k
+        all_even_positive = all(v > 0 and v % 2 == 0 for v in (a, b, c, k))
+        return {
+            "I": all_even_positive and a >= 4 and b >= 4 and c - k >= 4,
+            "II": a >= 2 * c + 1,
+            "III": b >= c + 2,
+            "IV1": b >= 2 * a + 2 * k - 1,
+            "IV2": a >= b + 2,
+        }
 
     @property
     def verdict(self) -> bool:
-        c = self.conditions
-        return c["I"] and c["II"] and c["III"] and (c["IV1"] or c["IV2"])
+        return not self.failing()
 
     def failing(self) -> list[str]:
-        out = [name for name in ("I", "II", "III") if not self.conditions[name]]
-        if not (self.conditions["IV1"] or self.conditions["IV2"]):
+        conditions = self.conditions
+        out = [name for name in ("I", "II", "III") if not conditions[name]]
+        if not (conditions["IV1"] or conditions["IV2"]):
             out.append("IV1/IV2")
         return out
 
@@ -200,7 +210,7 @@ class NondefReport:
             "c": self.c,
             "k": self.k,
             "verdict": self.verdict,
-            "conditions": dict(self.conditions),
+            "conditions": self.conditions,
             "failing": self.failing(),
         }
 
@@ -217,27 +227,18 @@ def nondef_predicate(a: int, b: int, c: int, k: int) -> NondefReport:
     equivalent; since they share b and a+c they always have equal chi and
     ksq, so the certificate separates surfaces with matching invariants.
     """
-    all_even_positive = all(v > 0 and v % 2 == 0 for v in (a, b, c, k))
-    conditions = {
-        "I": all_even_positive and a >= 4 and b >= 4 and c - k >= 4,
-        "II": a >= 2 * c + 1,
-        "III": b >= c + 2,
-        "IV1": b >= 2 * a + 2 * k - 1,
-        "IV2": a >= b + 2,
-    }
-    return NondefReport(a, b, c, k, conditions)
+    return NondefReport(a, b, c, k)
 
 
-@dataclass(frozen=True)
-class TypeClassification:
-    """Bidouble types matching target invariants, with diffeo grouping."""
+class TypeClassification(_Record):
+    """Bidouble types matching target invariants, with diffeo grouping:
+    ``diffeo_classes`` holds ((b, a+c), types-with-d-equal-b) pairs."""
 
-    chi: int
-    ksq: int
-    convention: str
-    bound: int
-    types: tuple
-    diffeo_classes: tuple  # ((b, a+c), types-with-d-equal-b) pairs
+    __slots__ = ("chi", "ksq", "convention", "bound", "types", "diffeo_classes")
+
+    def __init__(self, chi: int, ksq: int, convention: str, bound: int,
+                 types: tuple, diffeo_classes: tuple):
+        super().__init__(chi, ksq, convention, bound, types, diffeo_classes)
 
     def as_dict(self) -> dict:
         return {

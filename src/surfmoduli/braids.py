@@ -36,7 +36,7 @@ import itertools
 import operator
 from bisect import bisect_left, bisect_right
 from collections import deque
-from typing import Iterable, Literal, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -514,15 +514,17 @@ def node_pair_move(
     f: Factorization,
     i: int,
     u: BraidWord,
-    direction: Literal["create", "cancel"],
+    direction: str,
     cap: int | None = None,
 ) -> Factorization:
     """Insert or remove the adjacent node pair (u s1^2 u^-1, u s1^-2 u^-1).
 
-    Creation inserts the pair so that it occupies positions i and i + 1;
-    cancellation requires the factors already at those positions to be
-    braid-equal to the pair for the supplied conjugator, else
-    :class:`CancelMismatch`.  The product is preserved either way.
+    ``direction`` is ``"create"`` or ``"cancel"``; any other value raises
+    ``ValueError``.  Creation inserts the pair so that it occupies
+    positions i and i + 1; cancellation requires the factors already at
+    those positions to be braid-equal to the pair for the supplied
+    conjugator, else :class:`CancelMismatch`.  The product is preserved
+    either way.
     ``cap`` bounds the word-problem check as in :func:`braid_equal`.
     """
     if u.strands != f.strands:
@@ -652,25 +654,15 @@ def _hurwitz_moves(cur: tuple, forms: _OrbitForms) -> list[tuple]:
 
 
 def hurwitz_orbit(
-    f: Factorization,
-    budget: int = 10_000,
-    cap: int | None = None,
-    reverse_moves: bool = False,
+    f: Factorization, budget: int = 10_000, cap: int | None = None
 ) -> OrbitResult:
     """Breadth-first closure under Hurwitz moves and their inverses.
 
     States are identified by canonical form, so two factorizations that
-    are factorwise braid-equal count once.  ``reverse_moves`` flips the
-    move generation order; the resulting state set must not change (used
-    to test order independence).
+    are factorwise braid-equal count once.
     """
     forms = _OrbitForms(f.strands, cap)
-
-    def moves(cur: tuple):
-        out = _hurwitz_moves(cur, forms)
-        return reversed(out) if reverse_moves else out
-
-    return _orbit(f, forms, budget, moves)
+    return _orbit(f, forms, budget, lambda cur: _hurwitz_moves(cur, forms))
 
 
 def _words_up_to(strands: int, max_len: int) -> list[BraidWord]:

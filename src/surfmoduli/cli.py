@@ -34,8 +34,10 @@ def _emit(doc, args, rows=None):
     """Write a JSON document or its human rendering to stdout/--out."""
     if args.json:
         text = json.dumps(doc, separators=(",", ":"))
+    elif rows is None:
+        text = "\n".join(f"{k}: {_human(v)}" for k, v in doc.items())
     else:
-        text = "\n".join(rows if rows is not None else _flat_rows(doc))
+        text = "\n".join(rows)
     _write(text, args.out)
 
 
@@ -49,16 +51,6 @@ def _write(text, out):
             fh.write(text + "\n")
     except OSError as exc:
         raise SurfModuliError(f"cannot write --out {out}: {exc.strerror}") from None
-
-
-def _flat_rows(doc):
-    if isinstance(doc, list):
-        out = []
-        for item in doc:
-            out.extend(_flat_rows(item))
-            out.append("")
-        return out[:-1] if out else out
-    return [f"{k}: {_human(v)}" for k, v in doc.items()]
 
 
 def _human(v):

@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Optional, Union
 
 from .errors import BudgetExceeded, ExcludedParameter, SizeMismatch
 
 GENUS_CAP = 1_000_000
 
-RationalLike = Union[int, str, Fraction]
+RationalLike = int | str | Fraction
 
 
 class ProjPoint:
@@ -45,7 +45,7 @@ class ProjPoint:
 
     __slots__ = ("value",)
 
-    def __init__(self, value: Optional[RationalLike]):
+    def __init__(self, value: RationalLike | None):
         if value is not None and type(value) is not Fraction:
             value = Fraction(value)
         self.value = value
@@ -272,7 +272,7 @@ def _fourth_images(cross_ratio: Fraction, targets: list[ProjPoint]):
         yield (q1, q2, q3), _reduced(la * n3 - lb * n1, la * d3 - lb * d1)
 
 
-def moebius_equivalent(b1: BranchSet, b2: BranchSet) -> Optional[MoebiusMap]:
+def moebius_equivalent(b1: BranchSet, b2: BranchSet) -> MoebiusMap | None:
     """A rational map carrying ``b1`` onto ``b2``, or ``None``.
 
     Any map with ``m(b1) = b2`` is determined by where it sends one fixed

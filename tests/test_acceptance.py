@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from conftest import naive_mulclose, naive_sigma
 
-from surfmoduli import catalog
+from surfmoduli import braids, catalog
 from surfmoduli.beauville import is_beauville_pair, scan, search, structure_invariants
 from surfmoduli.bidouble import (
     AbcType,
@@ -286,10 +286,16 @@ def test_criterion_8_braid_core():
     )
 
 
-def test_criterion_9_orbit_determinism():
+def test_criterion_9_orbit_determinism(monkeypatch):
     f = Factorization.from_ints(3, [[1], [2]])
     fwd = hurwitz_orbit(f, budget=100)
-    rev = hurwitz_orbit(f, budget=100, reverse_moves=True)
+    forward = braids._hurwitz_moves
+
+    def reversed_moves(cur, forms):
+        return forward(cur, forms)[::-1]
+
+    monkeypatch.setattr(braids, "_hurwitz_moves", reversed_moves)
+    rev = hurwitz_orbit(f, budget=100)
     # size 3 was pinned with the breadth-first oracle before freezing
     check(
         9,

@@ -481,6 +481,10 @@ class TestInvariants:
         with pytest.raises(ValueError):
             isogenous_invariants(1, 2, 1)
 
+    def test_group_order_must_be_positive(self):
+        with pytest.raises(ValueError, match="group order must be positive"):
+            isogenous_invariants(3, 3, 0)
+
     def test_structure_invariants(self, small_catalog):
         s = search(small_catalog["EA5x5"], stop_at_first=True)[0]
         inv = structure_invariants(s)

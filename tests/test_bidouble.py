@@ -1,13 +1,17 @@
 """Bidouble/abc invariants, diffeomorphism chains, non-deformation tests."""
 
 import itertools
+import pickle
 import time
 
 import pytest
 
 from surfmoduli.bidouble import (
     AbcType,
+    BidoubleInvariants,
     BidoubleType,
+    NondefReport,
+    TypeClassification,
     abc_invariants,
     bidouble_invariants,
     diffeo_equivalent,
@@ -15,6 +19,7 @@ from surfmoduli.bidouble import (
     enumerate_types,
     nondef_predicate,
 )
+from surfmoduli.invariants import SurfaceInvariants
 
 
 def direct_image_chi(a, b, c, d):
@@ -41,6 +46,52 @@ class TestTypes:
         assert not AbcType(3, 3, 3).below_standard_bound
         with pytest.raises(ValueError):
             AbcType(0, 3, 3)
+
+
+class TestRecords:
+    """Each record built by keyword equals the library's own, is immutable
+    and survives pickling."""
+
+    CASES = [
+        (BidoubleType(a=3, b=4, c=5, d=6), BidoubleType(3, 4, 5, 6)),
+        (AbcType(a=2, b=3, c=3), AbcType(2, 3, 3)),
+        (
+            BidoubleInvariants(
+                invariants=SurfaceInvariants.from_chi_ksq(34, 128), ksq_paper=16
+            ),
+            bidouble_invariants(BidoubleType(3, 3, 3, 3)),
+        ),
+        (NondefReport(a=16, b=40, c=6, k=2), nondef_predicate(16, 40, 6, 2)),
+        (
+            TypeClassification(
+                chi=34, ksq=128, convention="pullback", bound=12,
+                types=(BidoubleType(3, 3, 3, 3),),
+                diffeo_classes=(((3, 6), [BidoubleType(3, 3, 3, 3)]),),
+            ),
+            enumerate_types(34, 128, 12),
+        ),
+    ]
+
+    @pytest.mark.parametrize("record, library", CASES, ids=lambda r: type(r).__name__)
+    def test_keyword_construction_assignment_and_pickle(self, record, library):
+        assert record == library
+        with pytest.raises(AttributeError):
+            setattr(record, record.__slots__[0], 7)
+        assert pickle.loads(pickle.dumps(record)) == record
+
+    def test_default_flag(self):
+        inv = BidoubleInvariants(SurfaceInvariants.from_chi_ksq(34, 128), 16)
+        assert inv.below_standard_bound is False
+        assert "below_standard_bound" not in inv.as_dict()
+
+    def test_nondef_report_equality_and_hash_by_its_four_integers(self):
+        report = nondef_predicate(14, 8, 6, 2)
+        assert report == NondefReport(14, 8, 6, 2)
+        assert hash(report) == hash(NondefReport(a=14, b=8, c=6, k=2))
+        assert report != NondefReport(14, 8, 6, 4)
+        assert len({report, NondefReport(14, 8, 6, 2), NondefReport(14, 8, 6, 4)}) == 2
+        assert repr(report) == "NondefReport(a=14, b=8, c=6, k=2)"
+        assert list(report.conditions) == ["I", "II", "III", "IV1", "IV2"]
 
 
 class TestInvariants:

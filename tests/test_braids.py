@@ -255,6 +255,27 @@ class TestValidation:
             BraidWord(3, [(1, 2)])
         with pytest.raises(ValueError):
             W(3, [0])
+        with pytest.raises(ValueError, match="at least 2 strands"):
+            BraidWord(1, ())
+
+    def test_strand_counts_must_agree(self):
+        f3 = F(3, [[1], [2]])
+        with pytest.raises(StrandMismatch, match=r"B_3 vs B_4"):
+            W(3, [1]) * W(4, [1])
+        with pytest.raises(StrandMismatch, match="factor on 4 strands in a B_3"):
+            Factorization(3, [W(3, [1]), W(4, [1])])
+        with pytest.raises(StrandMismatch, match=r"B_4 vs B_3"):
+            simultaneous_conjugation(f3, W(4, [1]))
+        with pytest.raises(StrandMismatch, match=r"B_4 vs B_3"):
+            node_pair_move(f3, 1, W(4, []), "create")
+
+    def test_unknown_node_pair_direction_is_refused(self):
+        with pytest.raises(ValueError, match="unknown direction 'swap'"):
+            node_pair_move(F(3, [[1], [2]]), 1, W(3, []), "swap")
+
+    def test_orbit_budget_must_be_positive(self):
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            hurwitz_orbit(F(3, [[1], [2]]), budget=0)
 
 
 class TestProduct:
@@ -400,12 +421,21 @@ class TestOrbits:
         orbit2 = hurwitz_orbit(trivial, budget=1)
         assert len(orbit2) == 1 and orbit2.exhausted
 
-    def test_independent_of_move_order(self):
+    def test_independent_of_move_order(self, monkeypatch):
+        forward, calls = braids._hurwitz_moves, []
+
+        def reversed_moves(cur, forms):
+            calls.append(cur)
+            return forward(cur, forms)[::-1]
+
         for states in ([[1], [2]], [[1], [2], [1]], [[1, 1], [2]]):
             f = Factorization.from_ints(3, states)
             fwd = hurwitz_orbit(f, budget=500)
-            rev = hurwitz_orbit(f, budget=500, reverse_moves=True)
+            with monkeypatch.context() as m:
+                m.setattr(braids, "_hurwitz_moves", reversed_moves)
+                rev = hurwitz_orbit(f, budget=500)
             assert fwd.keys == rev.keys
+        assert calls
 
     def test_m_equivalence_orbit_passes_its_cap_to_cancellation(self, monkeypatch):
         monkeypatch.setattr(braids, "WORD_CAP", 12)

@@ -77,6 +77,31 @@ def test_file_format_details(tmp_path):
             catalog.from_file(bad)
 
 
+def test_constructors_refuse_empty_input():
+    with pytest.raises(ValueError, match="degree must be positive"):
+        catalog.symmetric(0)
+    with pytest.raises(ValueError, match="at least one factor"):
+        catalog.direct_product()
+    with pytest.raises(ValueError, match="at least one generator is required"):
+        close([])
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# a comment only\n\n", ": missing 'degree n' header"),
+        ("degree three\n2 3 1\n", ":1: expected 'degree n', got 'degree three'"),
+        ("degree 3\n# no generator follows\n", ": no generators"),
+    ],
+    ids=["no-header", "malformed-header", "no-generators"],
+)
+def test_file_header_and_generator_errors(tmp_path, text, message):
+    path = tmp_path / "g.grp"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}{message}") + "$"):
+        catalog.from_file(path)
+
+
 def test_resolve_prefers_builtin_then_file(tmp_path):
     assert catalog.resolve("C6").order == 6
     path = tmp_path / "g.grp"

@@ -603,6 +603,16 @@ class TestGroupMap:
         with pytest.raises(ValueError):
             m(C2.generators[0])
 
+    def test_refuses_malformed_maps(self, small_catalog):
+        C6, C2 = small_catalog["C6"], small_catalog["C2"]
+        with pytest.raises(ValueError, match="one image per source generator"):
+            GroupMap(C6, C2, [])
+        m = GroupMap(C6, C2, [C2.generators[0]])
+        with pytest.raises(ValueError, match="codomain/domain mismatch"):
+            m.compose(m)
+        with pytest.raises(ValueError, match="only bijective maps can be inverted"):
+            m.inverse()
+
     @pytest.mark.parametrize("name", ["S3", "A4", "D4xC2"])
     def test_mapping_respects_products(self, name):
         # a listed map fills its image entries on first use; D4xC2 has

@@ -1,7 +1,8 @@
 """The package namespace: every public name resolves, and importing the
 package or the CLI leaves the braid, Moebius and bidouble modules, and the
 stdlib modules only they need, unloaded; the package loads neither
-``typing`` nor ``pathlib``."""
+``typing`` nor ``pathlib``, and no command loads ``dataclasses``,
+``inspect`` or ``typing``."""
 
 import ast
 import os
@@ -49,6 +50,27 @@ def test_import_without_site_hooks_loads_neither_typing_nor_pathlib():
     added = set(ast.literal_eval(out))
     assert "surfmoduli.beauville" in added
     assert not added & {"typing", "pathlib"}
+
+
+def test_no_lazy_module_or_command_loads_dataclasses_inspect_or_typing():
+    # without site hooks, which may preload them; each command prints its
+    # document, then the last two lines give the exit codes and what the
+    # run added
+    out = _python(
+        "import sys\nbefore = set(sys.modules)\n"
+        "import surfmoduli.bidouble, surfmoduli.braids, surfmoduli.moebius\n"
+        "from surfmoduli.cli import main\n"
+        "print([main(['abc', 'invariants', '3', '3', '3']),\n"
+        "       main(['hyperell', 'iso', '--set1', '0,1,inf,2', '--set2', '0,1,inf,-1']),\n"
+        "       main(['braid', 'equal', '--strands', '3', '[1,2,1]', '[2,1,2]'])])\n"
+        "print(sorted(set(sys.modules) - before))",
+        "-S",
+    )
+    *_, codes, added = out.splitlines()
+    added = set(ast.literal_eval(added))
+    assert ast.literal_eval(codes) == [0, 0, 0]
+    assert {"surfmoduli.bidouble", "surfmoduli.braids", "surfmoduli.moebius"} <= added
+    assert not added & {"dataclasses", "inspect", "typing"}
 
 
 def test_every_public_name_resolves():

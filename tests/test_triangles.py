@@ -40,6 +40,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SphericalTriple(G, a, a, a)
 
+    def test_branching_orders_must_be_positive(self):
+        with pytest.raises(ValueError, match="branching orders must be positive"):
+            TripleType(0, 2, 3)
+
     def test_validates_generation(self, small_catalog):
         G = small_catalog["S4"]
         a = Permutation.from_cycles(4, [1, 2], [3, 4])
