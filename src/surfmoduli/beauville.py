@@ -42,20 +42,19 @@ from .triangles import (
     genus,
     is_hyperbolic,
     sigma_class_indices,
-    sigma_set,
     triples_equivalent,
 )
 
 
 def is_beauville_pair(t1: SphericalTriple, t2: SphericalTriple) -> bool:
     """Freeness test: both triples hyperbolic, stabilizer sets meeting
-    only in the identity.  This is the reference element-level check."""
+    only in the identity.  The sets are unions of conjugacy classes, so
+    their class supports share only the identity class, class 0."""
     if t1.group is not t2.group:
         raise GroupMismatch("triples live on different groups")
     if not (is_hyperbolic(t1) and is_hyperbolic(t2)):
         return False
-    common = sigma_set(t1) & sigma_set(t2)
-    return common == {t1.group.identity}
+    return sigma_class_indices(t1) & sigma_class_indices(t2) == 1
 
 
 class BeauvilleStructure:

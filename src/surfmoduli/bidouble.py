@@ -232,7 +232,8 @@ def nondef_predicate(a: int, b: int, c: int, k: int) -> NondefReport:
 
 class TypeClassification(_Record):
     """Bidouble types matching target invariants, with diffeo grouping:
-    ``diffeo_classes`` holds ((b, a+c), types-with-d-equal-b) pairs."""
+    ``diffeo_classes`` holds ((b, a+c), types-with-d-equal-b) pairs of
+    tuples, so a classification hashes by value."""
 
     __slots__ = ("chi", "ksq", "convention", "bound", "types", "diffeo_classes")
 
@@ -304,5 +305,5 @@ def enumerate_types(
         convention="paper" if paper_convention else "pullback",
         bound=bound,
         types=tuple(matches),
-        diffeo_classes=tuple(sorted(classes.items())),
+        diffeo_classes=tuple((key, tuple(ts)) for key, ts in sorted(classes.items())),
     )

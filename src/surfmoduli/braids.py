@@ -24,7 +24,7 @@ equality is what the moves preserve.  Orbits run on normal forms: each
 successor is a product of normal forms, so no long word is re-read, and
 the representatives are spelled from the forms.  A normal form with more
 than ``WORD_CAP`` simple factors (10000, the Delta power counted, read at
-call time; pass ``cap=N`` to override it) raises :class:`BudgetExceeded`.
+call time) raises :class:`BudgetExceeded`.
 Every simple factor is a tuple of the strand count, so a normal form on
 more than ``STRAND_CAP`` strands (10^6, read at call time) is refused
 before one is built.
@@ -378,28 +378,26 @@ class _LeftNormalForms:
         return tuple(out)
 
 
-def _check_size(form: NormalForm, cap: int | None) -> NormalForm:
-    """Raise when the normal form has more simple factors than the cap,
-    the Delta power counted; ``cap`` defaults to ``WORD_CAP`` at call time."""
-    limit = WORD_CAP if cap is None else cap
-    if abs(form[0]) + len(form[1]) > limit:
-        name = "WORD_CAP" if limit == WORD_CAP else "cap"
+def _check_size(form: NormalForm) -> NormalForm:
+    """Raise when the normal form has more than ``WORD_CAP`` simple
+    factors, the Delta power counted; the cap is read at call time."""
+    if abs(form[0]) + len(form[1]) > WORD_CAP:
         raise BudgetExceeded(
-            f"normal form exceeded {name} = {limit} simple factors;"
-            " pass cap=N to raise it"
+            f"normal form exceeded WORD_CAP = {WORD_CAP} simple factors;"
+            " set surfmoduli.braids.WORD_CAP = N to raise it"
         )
     return form
 
 
-def _normal_form(word: BraidWord, cap: int | None) -> NormalForm:
-    return _check_size(_LeftNormalForms(word.strands).from_letters(word.letters), cap)
+def _normal_form(word: BraidWord) -> NormalForm:
+    return _check_size(_LeftNormalForms(word.strands).from_letters(word.letters))
 
 
-def braid_equal(w1: BraidWord, w2: BraidWord, cap: int | None = None) -> bool:
+def braid_equal(w1: BraidWord, w2: BraidWord) -> bool:
     """Exact equality in the braid group: the left normal forms agree."""
     if w1.strands != w2.strands:
         raise StrandMismatch(f"B_{w1.strands} vs B_{w2.strands}")
-    return _normal_form(w1, cap) == _normal_form(w2, cap)
+    return _normal_form(w1) == _normal_form(w2)
 
 
 class Factorization:
@@ -511,11 +509,7 @@ def _node_pair(strands: int, u: BraidWord) -> tuple[BraidWord, BraidWord]:
 
 
 def node_pair_move(
-    f: Factorization,
-    i: int,
-    u: BraidWord,
-    direction: str,
-    cap: int | None = None,
+    f: Factorization, i: int, u: BraidWord, direction: str
 ) -> Factorization:
     """Insert or remove the adjacent node pair (u s1^2 u^-1, u s1^-2 u^-1).
 
@@ -525,7 +519,6 @@ def node_pair_move(
     those positions to be braid-equal to the pair for the supplied
     conjugator, else :class:`CancelMismatch`.  The product is preserved
     either way.
-    ``cap`` bounds the word-problem check as in :func:`braid_equal`.
     """
     if u.strands != f.strands:
         raise StrandMismatch(f"B_{u.strands} vs B_{f.strands}")
@@ -537,7 +530,7 @@ def node_pair_move(
         return Factorization(f.strands, t)
     if direction == "cancel":
         _check_position(f, i, len(f) - 1)
-        if not (braid_equal(t[i - 1], pos, cap) and braid_equal(t[i], neg, cap)):
+        if not (braid_equal(t[i - 1], pos) and braid_equal(t[i], neg)):
             raise CancelMismatch(
                 f"factors at positions {i}, {i + 1} are not the node pair "
                 f"for the supplied conjugator"
@@ -547,20 +540,19 @@ def node_pair_move(
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def canonical_key(f: Factorization, cap: int | None = None) -> tuple:
+def canonical_key(f: Factorization) -> tuple:
     """Hashable canonical form: the left normal form of every factor."""
-    return tuple(_normal_form(w, cap) for w in f.factors)
+    return tuple(map(_normal_form, f.factors))
 
 
 class _OrbitForms:
     """The distinct normal forms met by one orbit enumeration, numbered
     in order of appearance.  States are tuples of these numbers, and
     products and inverses are memoised on them, so each is computed once
-    per enumeration; every new form is checked against the cap."""
+    per enumeration; every new form is checked against ``WORD_CAP``."""
 
-    def __init__(self, strands: int, cap: int | None):
+    def __init__(self, strands: int):
         self.strands = strands
-        self.cap = cap
         self.algebra = _LeftNormalForms(strands)
         self.forms: list[NormalForm] = []
         self._ids: dict[NormalForm, int] = {}
@@ -570,7 +562,7 @@ class _OrbitForms:
     def intern(self, form: NormalForm) -> int:
         i = self._ids.get(form)
         if i is None:
-            _check_size(form, self.cap)
+            _check_size(form)
             i = self._ids[form] = len(self.forms)
             self.forms.append(form)
         return i
@@ -630,7 +622,7 @@ class OrbitResult:
 def _orbit(f: Factorization, forms: _OrbitForms, budget: int, moves) -> OrbitResult:
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    start = tuple(map(forms.intern, canonical_key(f, forms.cap)))
+    start = tuple(map(forms.intern, canonical_key(f)))
     seen = {start}
     queue = deque([start])
     while queue:
@@ -653,15 +645,13 @@ def _hurwitz_moves(cur: tuple, forms: _OrbitForms) -> list[tuple]:
     return out
 
 
-def hurwitz_orbit(
-    f: Factorization, budget: int = 10_000, cap: int | None = None
-) -> OrbitResult:
+def hurwitz_orbit(f: Factorization, budget: int = 10_000) -> OrbitResult:
     """Breadth-first closure under Hurwitz moves and their inverses.
 
     States are identified by canonical form, so two factorizations that
     are factorwise braid-equal count once.
     """
-    forms = _OrbitForms(f.strands, cap)
+    forms = _OrbitForms(f.strands)
     return _orbit(f, forms, budget, lambda cur: _hurwitz_moves(cur, forms))
 
 
@@ -675,10 +665,7 @@ def _words_up_to(strands: int, max_len: int) -> list[BraidWord]:
 
 
 def m_equivalence_orbit(
-    f: Factorization,
-    budget: int,
-    conjugator_cap: int = 1,
-    cap: int | None = None,
+    f: Factorization, budget: int, conjugator_cap: int = 1
 ) -> OrbitResult:
     """Bounded closure under the full move set: Hurwitz moves, simultaneous
     conjugation by single generators, and node-pair creation/cancellation
@@ -687,7 +674,7 @@ def m_equivalence_orbit(
     The move set is infinite in principle, so this only ever produces a
     bounded certificate: states reachable within the budget.
     """
-    forms = _OrbitForms(f.strands, cap)
+    forms = _OrbitForms(f.strands)
     gens = [
         forms.word(BraidWord.generator(f.strands, i, s))
         for i in range(1, f.strands)

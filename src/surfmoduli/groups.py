@@ -19,9 +19,8 @@ per generator, and the array of any other element composed from them
 along its tree path, so conjugation fills no product-table column.
 Element orders and power masks come from one walk along a product-table
 column per rational class (the classes of the generators of one cyclic
-subgroup, up to conjugacy).  After construction only
-:attr:`PermGroup.is_abelian` multiplies :class:`Permutation` objects;
-they are otherwise read only at I/O.
+subgroup, up to conjugacy).  After construction no :class:`Permutation`
+is multiplied; they are read only at I/O.
 """
 
 from __future__ import annotations
@@ -182,16 +181,17 @@ class ConjugacyClass:
         return f"ConjugacyClass({self.representative!r}, size={len(self.elements)})"
 
 
-def _mulclose(generators: Sequence[Permutation], bound: int) -> "_ProductTable":
+def _mulclose(generators: Sequence[Permutation]) -> "_ProductTable":
     """Breadth-first closure of ``generators`` under right multiplication.
 
     Returns the group's product table: the elements in deterministic BFS
     order from the identity, with the Cayley graph and tree the walk
-    records.  The closure holds order x degree image entries, so it stops at ``bound``
-    elements or at ``ENTRY_BOUND`` entries.
+    records.  The closure holds order x degree image entries, so it stops at
+    ``ORDER_BOUND`` elements or at ``ENTRY_BOUND`` entries, both read at call
+    time.
     """
     degree = generators[0].degree
-    cap = min(bound, ENTRY_BOUND // degree)
+    cap = min(ORDER_BOUND, ENTRY_BOUND // degree)
     identity = Permutation.identity(degree)
     elements = [identity]
     index = {identity: 0}
@@ -206,16 +206,15 @@ def _mulclose(generators: Sequence[Permutation], bound: int) -> "_ProductTable":
             j = index.get(y)
             if j is None:
                 if len(elements) >= cap:
-                    if len(elements) < bound:
+                    if len(elements) < ORDER_BOUND:
                         raise OrderBoundExceeded(
                             f"closure exceeded ENTRY_BOUND = {ENTRY_BOUND} image entries"
                             f" (order x degree, degree {degree});"
                             " set surfmoduli.groups.ENTRY_BOUND = N to raise it"
                         )
-                    name = "ORDER_BOUND" if bound == ORDER_BOUND else "bound"
                     raise OrderBoundExceeded(
-                        f"closure exceeded {name} = {bound} elements;"
-                        " pass bound=N to close() to raise it"
+                        f"closure exceeded ORDER_BOUND = {ORDER_BOUND} elements;"
+                        " set surfmoduli.groups.ORDER_BOUND = N to raise it"
                     )
                 j = index[y] = len(elements)
                 elements.append(y)
@@ -402,9 +401,13 @@ class PermGroup:
 
     @cached_property
     def is_abelian(self) -> bool:
-        gens = self.generators
+        """The generators commute, read on the Cayley graph: Cayley column
+        j holds x g_j at x, so g_i g_j is its entry at g_i, column i's at 0."""
+        cayley = self._table.cayley
+        gens = [col[0] for col in cayley]
         return all(
-            a * b == b * a for i, a in enumerate(gens) for b in gens[i + 1 :]
+            cayley[j][a] == cayley[i][b]
+            for i, a in enumerate(gens) for j, b in enumerate(gens[:i])
         )
 
     @cached_property
@@ -809,16 +812,13 @@ class GroupMap:
         return f"<{kind}GroupMap {list(self.images)!r}>"
 
 
-def close(
-    generators: Sequence[Permutation],
-    name: str | None = None,
-    bound: int | None = None,
-) -> PermGroup:
+def close(generators: Sequence[Permutation], name: str | None = None) -> PermGroup:
     """Materialize the group generated by ``generators``.
 
     All generators must share one degree (:class:`DegreeMismatch`), and
-    the closure must stay within ``bound`` (:class:`OrderBoundExceeded`),
-    by default the module's ``ORDER_BOUND`` at call time.
+    the closure must stay within ``ORDER_BOUND`` elements and
+    ``ENTRY_BOUND`` image entries, read at call time
+    (:class:`OrderBoundExceeded`).
     """
     generators = list(generators)
     if not generators:
@@ -829,5 +829,5 @@ def close(
             raise DegreeMismatch(
                 f"generator degrees differ: {degree} vs {g.degree}"
             )
-    table = _mulclose(generators, ORDER_BOUND if bound is None else bound)
+    table = _mulclose(generators)
     return PermGroup(degree, generators, table, name=name)

@@ -169,10 +169,10 @@ def no_large_closure(monkeypatch):
 
     close = catalog.close
 
-    def guarded(generators, name=None, bound=None):
+    def guarded(generators, name=None):
         generators = list(generators)
         assert generators[0].degree <= 1000, f"{name} reached the closure"
-        return close(generators, name=name, bound=bound)
+        return close(generators, name=name)
 
     monkeypatch.setattr(catalog, "close", guarded)
 

@@ -4,7 +4,7 @@ import random
 from collections import Counter
 
 import pytest
-from conftest import naive_canonical_pair, naive_sigma, naive_triples
+from conftest import naive_canonical_pair, naive_genus, naive_sigma, naive_triples
 
 from surfmoduli import catalog
 from surfmoduli.beauville import (
@@ -22,6 +22,7 @@ from surfmoduli.beauville import (
 from surfmoduli.errors import GroupMismatch, NonIntegralChi, NonIntegralGenus
 from surfmoduli.groups import PermGroup, Permutation, close
 from surfmoduli.triangles import (
+    SphericalTriple,
     _genus,
     _hyperbolic_orders,
     _orbit_candidates,
@@ -94,6 +95,48 @@ class TestIsBeauvillePair:
         for t1 in ts[:10]:
             for t2 in ts:
                 assert is_beauville_pair(t1, t2) == is_beauville_pair(t2, t1)
+
+    @pytest.mark.parametrize("name", ["S5", "PSL2_7", "EA5x5", "A5"])
+    def test_matches_the_element_level_check_on_seeded_pairs(self, name):
+        # 200 ordered pairs: half of random generating triples, half the two
+        # triples of a listed structure with the second conjugated apart.
+        # S5, PSL2_7 and EA5x5 have no non-hyperbolic generating triple,
+        # so A5, with its (2, 3, 5) triples and no structure, joins them.
+        G = catalog.builtin(name)
+        rng = random.Random(f"is_beauville_pair:{name}")
+        structures = search(G)
+        pool = []
+        while len(pool) < 24:
+            a, b = rng.choice(G.elements), rng.choice(G.elements)
+            if G.generates_pair(a, b):
+                pool.append(SphericalTriple(G, a, b, (a * b).inverse()))
+        pairs = []
+        for i in range(200):
+            if i % 2 and structures:
+                s, h = rng.choice(structures), rng.choice(G.elements)
+                t2 = SphericalTriple(G, *(x.conjugated_by(h) for x in (s.t2.a, s.t2.b, s.t2.c)))
+                pairs.append((s.t1, t2) if rng.random() < 0.5 else (t2, s.t1))
+            else:
+                pairs.append((rng.choice(pool), rng.choice(pool)))
+        sigmas = {}
+
+        def sigma(t):
+            key = (t.a, t.b, t.c)
+            if key not in sigmas:
+                sigmas[key] = naive_sigma(G, key)
+            return sigmas[key]
+
+        kinds = Counter()
+        for t1, t2 in pairs:
+            if min(naive_genus(G, (t.a, t.b, t.c)) for t in (t1, t2)) < 2:
+                kind = "non-hyperbolic"
+            elif sigma(t1) & sigma(t2) == {G.identity}:
+                kind = "beauville"
+            else:
+                kind = "incompatible"
+            assert is_beauville_pair(t1, t2) == (kind == "beauville"), (t1, t2)
+            kinds[kind] += 1
+        assert set(kinds) == {"incompatible", "non-hyperbolic" if name == "A5" else "beauville"}
 
     def test_classical_ea5x5_pair_exists(self, small_catalog):
         G = small_catalog["EA5x5"]

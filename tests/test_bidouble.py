@@ -66,7 +66,7 @@ class TestRecords:
             TypeClassification(
                 chi=34, ksq=128, convention="pullback", bound=12,
                 types=(BidoubleType(3, 3, 3, 3),),
-                diffeo_classes=(((3, 6), [BidoubleType(3, 3, 3, 3)]),),
+                diffeo_classes=(((3, 6), (BidoubleType(3, 3, 3, 3),)),),
             ),
             enumerate_types(34, 128, 12),
         ),
@@ -78,6 +78,12 @@ class TestRecords:
         with pytest.raises(AttributeError):
             setattr(record, record.__slots__[0], 7)
         assert pickle.loads(pickle.dumps(record)) == record
+
+    def test_type_classification_hashes_by_value(self):
+        first, second = enumerate_types(34, 128, 12), enumerate_types(34, 128, 12)
+        assert first is not second and first == second
+        assert hash(first) == hash(second)
+        assert {first: "found"}[second] == "found"
 
     def test_default_flag(self):
         inv = BidoubleInvariants(SurfaceInvariants.from_chi_ksq(34, 128), 16)

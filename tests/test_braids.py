@@ -105,29 +105,38 @@ class TestBraidEqual:
             assert braid_equal(u * w, v * w)
             assert braid_equal(w * u, w * v)
 
-    def test_word_cap(self):
+    def test_word_cap(self, monkeypatch):
         # s1^200 in B3 has one simple factor per letter
         w = W(3, [1] * 200)
-        assert canonical_key(F(3, [[1] * 200]), cap=200)[0] == (0, ((1, 0, 2),) * 200)
+        monkeypatch.setattr(braids, "WORD_CAP", 200)
+        assert canonical_key(F(3, [[1] * 200]))[0] == (0, ((1, 0, 2),) * 200)
+        monkeypatch.setattr(braids, "WORD_CAP", 199)
         with pytest.raises(BudgetExceeded):
-            braid_equal(w, w, cap=199)
+            braid_equal(w, w)
         # the Delta power is counted: s1^-3 s2^-3 is Delta^-5 times 5 factors
         v = W(3, [-1] * 3 + [-2] * 3)
         k, factors = canonical_key(Factorization(3, [v]))[0]
         assert (k, len(factors)) == (-5, 5)
-        assert braid_equal(v, v, cap=10)
+        monkeypatch.setattr(braids, "WORD_CAP", 10)
+        assert braid_equal(v, v)
+        monkeypatch.setattr(braids, "WORD_CAP", 9)
         with pytest.raises(BudgetExceeded):
-            braid_equal(v, v, cap=9)
+            braid_equal(v, v)
 
-    def test_word_cap_message_names_the_cap_and_how_to_raise_it(self):
-        w = W(3, [1] * 200)
-        with pytest.raises(
-            BudgetExceeded, match=r"exceeded cap = 199 simple factors; pass cap=N "
-        ):
-            braid_equal(w, w, cap=199)
+    def test_word_cap_message_names_the_cap_and_how_to_raise_it(self, monkeypatch):
         w = W(3, [1] * 10_001)
         with pytest.raises(
-            BudgetExceeded, match=r"exceeded WORD_CAP = 10000 simple factors; pass cap=N "
+            BudgetExceeded,
+            match=r"^normal form exceeded WORD_CAP = 10000 simple factors;"
+            r" set surfmoduli\.braids\.WORD_CAP = N to raise it$",
+        ):
+            braid_equal(w, w)
+        w = W(3, [1] * 200)
+        monkeypatch.setattr(braids, "WORD_CAP", 199)
+        with pytest.raises(
+            BudgetExceeded,
+            match=r"^normal form exceeded WORD_CAP = 199 simple factors;"
+            r" set surfmoduli\.braids\.WORD_CAP = N to raise it$",
         ):
             braid_equal(w, w)
 
@@ -141,8 +150,10 @@ class TestBraidEqual:
             braid_equal(w, w)
         with pytest.raises(BudgetExceeded, match=r"WORD_CAP = 17 simple factors"):
             hurwitz_orbit(Factorization(3, [w, W(3, [1])]), budget=10)
-        assert braid_equal(w, w, cap=18)
-        assert len(hurwitz_orbit(Factorization(3, [w, W(3, [1])]), budget=10, cap=10**4)) == 10
+        monkeypatch.setattr(braids, "WORD_CAP", 18)
+        assert braid_equal(w, w)
+        monkeypatch.setattr(braids, "WORD_CAP", 10**4)
+        assert len(hurwitz_orbit(Factorization(3, [w, W(3, [1])]), budget=10)) == 10
 
     def test_strand_cap_refuses_before_a_factor_is_built(self, monkeypatch):
         n = braids.STRAND_CAP + 1
@@ -169,13 +180,16 @@ class TestBraidEqual:
         with pytest.raises(BudgetExceeded, match=r"STRAND_CAP = 5 strands"):
             braid_equal(W(6, [1]), W(6, [1]))
 
-    def test_cap_raises_exactly_above_the_factor_count(self):
+    def test_cap_raises_exactly_above_the_factor_count(self, monkeypatch):
         for w in cancelling_corpus(607, 200):
-            k, factors = canonical_key(Factorization(w.strands, [w]), cap=10**6)[0]
+            monkeypatch.setattr(braids, "WORD_CAP", 10**6)
+            k, factors = canonical_key(Factorization(w.strands, [w]))[0]
             size = abs(k) + len(factors)
-            assert braid_equal(w, w, cap=size)
+            monkeypatch.setattr(braids, "WORD_CAP", size)
+            assert braid_equal(w, w)
+            monkeypatch.setattr(braids, "WORD_CAP", size - 1)
             with pytest.raises(BudgetExceeded):
-                braid_equal(w, w, cap=size - 1)
+                braid_equal(w, w)
 
     def test_b30_words_are_compared_without_permutation_tables(self):
         # nothing of size 30! may be built: 40-letter words in B_30 and an
@@ -381,15 +395,16 @@ class TestNodePairs:
         with pytest.raises(CancelMismatch):
             node_pair_move(f, 1, BraidWord.identity(2), "cancel")
 
-    def test_cancel_check_takes_the_cap(self, monkeypatch):
+    def test_cancel_check_reads_the_word_cap(self, monkeypatch):
         # the node pair of u = (s1 s2^-1)^2 has 13 and 14 simple factors
         monkeypatch.setattr(braids, "WORD_CAP", 12)
         f = node_pair_of(W(3, [1, -2, 1, -2]))
         e = BraidWord.identity(3)
         with pytest.raises(BudgetExceeded, match=r"WORD_CAP = 12 simple factors"):
             node_pair_move(f, 1, e, "cancel")
+        monkeypatch.setattr(braids, "WORD_CAP", 10**4)
         with pytest.raises(CancelMismatch):
-            node_pair_move(f, 1, e, "cancel", cap=10**4)
+            node_pair_move(f, 1, e, "cancel")
 
 
 class TestOrbits:
@@ -437,12 +452,13 @@ class TestOrbits:
             assert fwd.keys == rev.keys
         assert calls
 
-    def test_m_equivalence_orbit_passes_its_cap_to_cancellation(self, monkeypatch):
+    def test_m_equivalence_orbit_reads_the_word_cap_in_cancellation(self, monkeypatch):
         monkeypatch.setattr(braids, "WORD_CAP", 12)
         f = node_pair_of(W(3, [1, -2, 1, -2]))
         with pytest.raises(BudgetExceeded, match=r"WORD_CAP = 12 "):
             m_equivalence_orbit(f, budget=5)
-        orbit = m_equivalence_orbit(f, budget=5, cap=10**4)
+        monkeypatch.setattr(braids, "WORD_CAP", 10**4)
+        orbit = m_equivalence_orbit(f, budget=5)
         assert len(orbit) == 5
 
     def test_m_equivalence_orbit_bounded(self):

@@ -65,17 +65,18 @@ class TestClose:
         with pytest.raises(DegreeMismatch):
             close([Permutation.identity(3), Permutation.identity(4)])
 
-    def test_order_bound(self):
+    def test_order_bound(self, monkeypatch):
         gens = [
             Permutation.from_cycles(5, [1, 2, 3, 4, 5]),
             Permutation.from_cycles(5, [1, 2]),
         ]
+        monkeypatch.setattr("surfmoduli.groups.ORDER_BOUND", 50)
         with pytest.raises(
             OrderBoundExceeded,
-            match=r"^closure exceeded bound = 50 elements; "
-            r"pass bound=N to close\(\) to raise it$",
+            match=r"^closure exceeded ORDER_BOUND = 50 elements; "
+            r"set surfmoduli\.groups\.ORDER_BOUND = N to raise it$",
         ):
-            close(gens, bound=50)
+            close(gens)
 
     def test_elements_closed(self, small_catalog):
         G = small_catalog["S4"]
@@ -303,6 +304,19 @@ class TestProductTable:
             assert [images[y] for y in conj] == [naive_conjugate(images[h], x) for x in images]
         filled = {z for z, col in enumerate(G._table._cols) if col is not None}
         assert filled == {0, *map(G.index_of, G.generators)}  # no column was filled
+
+    def test_is_abelian_matches_pairwise_generator_products(self, small_catalog, monkeypatch):
+        # fresh groups, so that is_abelian is computed below
+        groups = [*map(catalog.builtin, small_catalog), *catalog.abelian_catalog(30)]
+        expected = [all(a * b == b * a for a, b in itertools.product(G.generators, repeat=2))
+                    for G in groups]
+        assert any(expected) and not all(expected)
+
+        def refuse(*_):
+            raise AssertionError("a built group multiplied permutations")
+
+        monkeypatch.setattr(Permutation, "__mul__", refuse)
+        assert [G.is_abelian for G in groups] == expected
 
     def test_columns_fill_along_the_breadth_first_tree(self):
         G = catalog.builtin("A6")
