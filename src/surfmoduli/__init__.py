@@ -63,8 +63,6 @@ from .errors import (
     SurfModuliError,
 )
 from .groups import (
-    AUT_BOUND,
-    ORDER_BOUND,
     ConjugacyClass,
     GroupMap,
     PermGroup,

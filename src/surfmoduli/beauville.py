@@ -220,7 +220,7 @@ def _support_orbits(G: PermGroup, stop_at_first: bool = False) -> dict[int, int]
     """
     elements, class_of = G.elements, G._class_of
     order_of = [G._class_orders[ci] for ci in class_of]
-    leaders, weight = None, [1] * len(G._class_firsts)
+    leaders, weight = None, [1] * len(G._class_reps)
     if G.is_abelian:
         if _needs_three_generators(order_of):
             return {}

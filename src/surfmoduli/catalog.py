@@ -7,8 +7,14 @@ Names understood by :func:`builtin`:
 * ``S<n>``       symmetric group on n points
 * ``A<n>``       alternating group on n points, n >= 3
 * ``EA<p>x<p>``  elementary abelian (Z/p)^2 on 2p points, p prime
-* ``PSL2_<p>``   PSL(2, p) on the projective line (p + 1 points), p prime <= 31
-* products joined with ``x``, e.g. ``C4xC2`` (factors act on disjoint points)
+* ``PSL2_<p>``   PSL(2, p) on the projective line (p + 1 points), p prime
+* products of ``C``, ``D``, ``S`` and ``A`` names joined with ``x``, e.g.
+  ``C4xC2`` (factors act on disjoint points)
+
+Each constructor refuses a group before its closure when the order
+exceeds ``ORDER_BOUND`` or order x degree exceeds ``ENTRY_BOUND`` (both
+in :mod:`surfmoduli.groups`): at the defaults PSL2_53 builds and PSL2_59
+is refused.
 
 The plain-text group file format is bit-exact: line 1 is ``degree n``,
 every further nonempty line is one generator as n space-separated 1-based
@@ -25,9 +31,6 @@ from collections.abc import Iterable
 from . import groups as _groups
 from .errors import OrderBoundExceeded
 from .groups import Permutation, PermGroup, close
-
-_PSL_MAX = 31
-
 
 def _refuse_above_bound(name: str, factors: Iterable[int], degree: int) -> None:
     """Raise before building ``name`` if its order, the product of
@@ -118,8 +121,9 @@ def psl2(p: int) -> PermGroup:
     Points 1..p represent the field values 0..p-1 and point p+1 is the
     point at infinity.  Generated by z -> z + 1 and z -> -1/z.
     """
-    if not _is_prime(p) or p > _PSL_MAX:
-        raise ValueError(f"p must be a prime <= {_PSL_MAX}, got {p}")
+    _refuse_above_bound(f"PSL2_{p}", [p, (p * p - 1) // math.gcd(2, p - 1)], p + 1)
+    if not _is_prime(p):
+        raise ValueError(f"p must be a prime, got {p}")
     degree = p + 1
     inf = degree
     shift = [0] * degree

@@ -14,9 +14,9 @@ regular action of G on those indices, held as a product table by columns
 (see :class:`_ProductTable`).  Inverses, classes, the centre transversal,
 normal closures, generation tests, triple enumeration and equivalence,
 least conjugators and automorphisms all read these index arrays.  The
-action of G on itself by conjugation is read off the same tree: one array
+action of G on itself by conjugation is read off the same tree: one map
 per generator, and the array of any other element composed from them
-along its tree path, so conjugation fills no product-table column.
+along its inverse's tree path, so conjugation fills no product-table column.
 Element orders and power masks come from one walk along a product-table
 column per rational class (the classes of the generators of one cyclic
 subgroup, up to conjugacy).  After construction no :class:`Permutation`
@@ -241,16 +241,16 @@ class _ProductTable:
     kept; all ``order**2`` entries exist only once every column was asked
     for.
 
-    Conjugation arrays ``x -> h x h^-1`` follow the same tree: with
-    ``h = p * g``, conjugation by h is conjugation by g followed by
-    conjugation by p.  So the array of h is the per-generator arrays of
-    :attr:`_by_generator` chained along h's path up to the nearest element
-    whose array is kept, read in one C-level pass.  Only the arrays asked
-    for are kept, and the requests are sparse (the centraliser elements
-    that triple enumeration and least conjugators ask for, deep in the
-    tree), so they keep no ancestor.  No column is filled.  Where a whole
-    conjugacy class is wanted, the per-generator arrays themselves serve:
-    triple enumeration walks each class along them.
+    Conjugation arrays follow the same tree: with ``g = p * s``,
+    ``g^-1 x g`` is ``s^-1 (p^-1 x p) s``.  So the array of g is the
+    :attr:`conjugators` chained down g's path from the nearest element
+    whose array is kept, read in one C-level pass, and conjugation by h is
+    this array of ``g = h^-1``.  Only the arrays asked for are kept, and
+    the requests are sparse (the centraliser elements that triple
+    enumeration and least conjugators ask for, deep in the tree), so they
+    keep no ancestor.  No column is filled.  Where a whole conjugacy class
+    is wanted, the conjugators themselves serve: triple enumeration walks
+    each class along them.
     """
 
     def __init__(self, elements, index, cayley, parent, via):
@@ -307,45 +307,36 @@ class _ProductTable:
         return array(self._code, self.walk(0, self.lefts))
 
     @cached_property
-    def conjugators(self) -> list[array]:
-        """Per generator s, the array ``x -> s^-1 x s``: left translation
+    def conjugators(self) -> list[list[int]]:
+        """Per generator s, the map ``x -> s^-1 x s``: left translation
         by s^-1, then s's Cayley column, so it fills no column.  The
-        s^-1 generate G, so orbits under these arrays are the conjugacy
-        classes."""
-        return [
-            array(self._code, map(col.__getitem__, left))
-            for col, left in zip(self.cayley, self.lefts)
-        ]
-
-    @cached_property
-    def _by_generator(self) -> list[list[int]]:
-        """Per generator s, ``x -> s x s^-1``: the inverse of its
-        conjugator.  Lists, since chained lookups into a list hand on its
+        s^-1 generate G, so orbits under these maps are the conjugacy
+        classes.  Lists, since chained lookups into a list hand on its
         int objects where an array would make new ones."""
-        order = len(self.elements)
-        return [sorted(range(order), key=conj.__getitem__) for conj in self.conjugators]
+        return [list(map(col.__getitem__, left)) for col, left in zip(self.cayley, self.lefts)]
 
     def conjugation(self, h: int) -> array:
         """The index of ``h x h^-1`` at position ``x``, kept once asked for.
 
-        For the path ``h = top * g_1 * ... * g_k`` down the tree from the
-        nearest element ``top`` whose array is kept (else the identity),
-        ``h x h^-1`` is ``top (g_1 (... (g_k x g_k^-1) ...) g_1^-1) top^-1``:
-        one chain of lookups, innermost the generator of h's own edge.
+        That is ``g^-1 x g`` with ``g = h^-1``, kept under g.  For the path
+        ``g = top * s_1 * ... * s_k`` down the tree from the nearest
+        element ``top`` whose array is kept (else the identity), it is
+        ``s_k^-1 (... (s_1^-1 (top^-1 x top) s_1) ...) s_k``: one chain of
+        :attr:`conjugators` lookups, outermost the generator of g's own edge.
         """
-        kept = self._conj
-        if kept[h] is None:
-            path = [h]
+        kept, g = self._conj, self.inverse[h]
+        if kept[g] is None:
+            path = [g]
             while path[-1] and kept[path[-1]] is None:
                 path.append(self.parent[path[-1]])
             top = path.pop()
             chain = range(len(self.elements))
-            for z in path:
-                chain = map(self._by_generator[self.via[z]].__getitem__, chain)
             if top:
                 chain = map(kept[top].__getitem__, chain)
-            kept[h] = array(self._code, list(chain))  # a list fills an array faster
-        return kept[h]
+            for z in reversed(path):
+                chain = map(self.conjugators[self.via[z]].__getitem__, chain)
+            kept[g] = array(self._code, list(chain))  # a list fills an array faster
+        return kept[g]
 
 
 class PermGroup:
@@ -439,9 +430,11 @@ class PermGroup:
     def _class_reps(self) -> list[int]:
         """Per class, the index of its representative: its lexicographically
         least element."""
-        elements, reps = self.elements, list(self._class_firsts)
+        elements, reps = self.elements, []
         for x, ci in enumerate(self._class_of):
-            if elements[x].images < elements[reps[ci]].images:
+            if ci == len(reps):  # classes are numbered by first element
+                reps.append(x)
+            elif elements[x].images < elements[reps[ci]].images:
                 reps[ci] = x
         return reps
 
@@ -463,15 +456,6 @@ class PermGroup:
         return self._class_of[self.index_of(g)]
 
     @cached_property
-    def _class_firsts(self) -> list[int]:
-        """Per class, the index of its first element."""
-        firsts: list[int] = []
-        for x, ci in enumerate(self._class_of):
-            if ci == len(firsts):  # classes are numbered by first element
-                firsts.append(x)
-        return firsts
-
-    @cached_property
     def _power_walks(self) -> tuple[list[int], list[int], list[int]]:
         """Per class: the order of its elements, the bitmask of the classes
         their powers meet, and the leading class of its rational class.
@@ -483,14 +467,15 @@ class PermGroup:
         its product-table column (entry j is the index of
         ``elements[j] * x``) back to the identity, and the walk's length
         and mask go to every class met at an exponent coprime to it.
-        Only the leaders' columns are filled.
+        Only the leaders' columns are filled; a class's first element, the
+        nearest to the identity in the tree, has the cheapest column.
         """
         class_of, table = self._class_of, self._table
-        count = len(self._class_firsts)
+        count = max(class_of) + 1
         # the identity class (class 0) leads itself, with order 1 and mask 1
         orders, masks, leader = [1] * count, [1] * count, [0] + [-1] * (count - 1)
-        for ci, x in enumerate(self._class_firsts):
-            if leader[ci] >= 0:
+        for x, ci in enumerate(class_of):
+            if leader[ci] >= 0:  # else x is the first element of an unled class
                 continue
             col, powers, mask, j = table.column(x), [], 1, x
             while j:  # the identity has index 0
@@ -580,11 +565,16 @@ class PermGroup:
         return self._reach([col, *self._table.conjugators], self.order)
 
     def is_simple(self) -> bool:
-        """True iff every nontrivial class normally generates the group."""
+        """True iff every nontrivial class normally generates the group,
+        tried at each class's first element, the nearest to the identity in
+        the tree and so the cheapest column."""
         if self.order < 2:
             raise ValueError("simplicity is defined for groups of order >= 2")
-        n, elements = self.order, self.elements
-        return all(self.normal_closure_size(elements[x]) == n for x in self._class_firsts[1:])
+        n, elements, class_of = self.order, self.elements, self._class_of
+        return all(
+            self.normal_closure_size(elements[class_of.index(ci)]) == n
+            for ci in range(1, max(class_of) + 1)
+        )
 
     @cached_property
     def _inner(self) -> dict[tuple, int]:
@@ -648,9 +638,9 @@ class PermGroup:
         """All automorphisms, one coset of Inn(G) at a time.
 
         Aut(G) is the union of the cosets phi Inn(G), and each coset holds
-        a map sending the first generator to the first element of its
-        class (``_class_firsts``).  So the search backtracks over
-        generator images with the first image a class first of the same
+        a map sending the first generator to the representative of its
+        class (``_class_reps``).  So the search backtracks over generator
+        images with the first image a class representative of the same
         order and class size, and the others any element of the same
         order and class size; partial assignments are pruned when a
         product order disagrees, and an assignment already listed belongs
@@ -684,9 +674,9 @@ class PermGroup:
             [t for t, ci in enumerate(class_of) if kind[ci] == kind[class_of[g]]]
             for g in gens
         ]
-        # every coset holds a map sending the first generator to a class first
+        # every coset holds a map sending the first generator to a class representative
         first = kind[class_of[gens[0]]]
-        candidates[0] = [x for x in self._class_firsts if kind[class_of[x]] == first]
+        candidates[0] = [x for x in self._class_reps if kind[class_of[x]] == first]
         pair_orders = [
             [order_of[table.column(g)[gens[j]]] for j in range(pos)]
             for pos, g in enumerate(gens)

@@ -241,8 +241,8 @@ def enumerate_triples(
     entries the kept b's and their images under each of r's centraliser
     arrays, sorted, each third entry read off the column of r^-1.  The
     class of r is then walked breadth-first along conjugation by each
-    generator s (``_ProductTable._by_generator``): a new first entry
-    s a s^-1 takes the block of a conjugated by s, both entry lists
+    generator s (``_ProductTable.conjugators``): a new first entry
+    s^-1 a s takes the block of a conjugated by s^-1, both entry lists
     mapped in one C-level pass.  The output order is deterministic: by
     conjugacy class of the first entry, then by element index of the
     first and second entries.
@@ -254,7 +254,7 @@ def enumerate_triples(
     elements = G.elements
     orders = [G._class_orders[ci] for ci in G._class_of]
     table = G._table
-    inv, by_generator = table.inverse, table._by_generator
+    inv, conjugators = table.inverse, table.conjugators
     full: list[SphericalTriple] = []
     for ir, candidates in groupby(_orbit_candidates(G), key=itemgetter(0)):
         kept: list[int] = []
@@ -280,7 +280,7 @@ def enumerate_triples(
         reached = [ir]
         for a in reached:
             seconds, thirds = blocks[a]
-            for s in by_generator:  # x -> s x s^-1
+            for s in conjugators:  # x -> s^-1 x s
                 x = s[a]
                 if x not in blocks:
                     blocks[x] = list(map(s.__getitem__, seconds)), list(map(s.__getitem__, thirds))

@@ -37,3 +37,11 @@ def test_every_cap_names_a_settable_constant(monkeypatch, module, name, value, t
     message = str(caught.value)
     assert f"{name} = {value};" in message or f"{name} = {value} " in message, message
     assert message.endswith(f"; set surfmoduli.{module}.{name} = N to raise it"), message
+
+
+def test_the_package_namespace_holds_no_copy_of_a_cap():
+    # a copy bound at import time would not follow the module constant
+    import surfmoduli
+
+    caps = ["ORDER_BOUND", "ENTRY_BOUND", "AUT_BOUND", "WORD_CAP", "STRAND_CAP", "GENUS_CAP"]
+    assert [name for name in caps if hasattr(surfmoduli, name)] == []

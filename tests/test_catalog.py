@@ -30,8 +30,14 @@ def test_psl2_is_simple_for_p_at_least_5():
 def test_psl2_rejects_bad_p():
     with pytest.raises(ValueError):
         catalog.psl2(9)
-    with pytest.raises(ValueError):
-        catalog.psl2(37)
+    with pytest.raises(ValueError, match="^p must be a prime, got 35$"):
+        catalog.psl2(35)
+
+
+def test_psl2_above_31_builds_under_the_order_bound():
+    G = catalog.psl2(37)
+    assert G.order == 37 * (37 * 37 - 1) // 2 == 25308
+    assert G.is_simple()
 
 
 def test_name_resolution():
@@ -168,8 +174,8 @@ def test_entry_bound_is_read_at_call_time(monkeypatch):
         r"degree 12\); set surfmoduli\.groups\.ENTRY_BOUND = N to raise it$",
     ):
         close([Permutation.from_cycles(12, list(range(1, 13)))])
-    with pytest.raises(OrderBoundExceeded, match="^closure exceeded ENTRY_BOUND = 100 "):
-        catalog.psl2(7)  # no closed-form check; the closure fires
+    with pytest.raises(OrderBoundExceeded, match="^PSL2_7: order x degree = 1344 image entries"):
+        catalog.psl2(7)
     assert catalog.builtin("C10").order == 10
 
 
@@ -180,8 +186,8 @@ def test_order_bound_is_read_at_call_time(monkeypatch):
     s4 = [Permutation.from_cycles(4, [1, 2]), Permutation.from_cycles(4, [1, 2, 3, 4])]
     with pytest.raises(OrderBoundExceeded, match="^closure exceeded ORDER_BOUND = 10 "):
         close(s4)
-    with pytest.raises(OrderBoundExceeded, match="^closure exceeded ORDER_BOUND = 10 "):
-        catalog.psl2(7)  # no closed-form check; the closure fires
+    with pytest.raises(OrderBoundExceeded, match="^PSL2_7: order exceeds ORDER_BOUND = 10;"):
+        catalog.psl2(7)
     monkeypatch.setattr("surfmoduli.groups.ORDER_BOUND", 24)
     assert catalog.builtin("S4").order == close(s4).order == 24
     monkeypatch.setattr("surfmoduli.groups.ORDER_BOUND", 10**7)

@@ -256,7 +256,7 @@ class TestNumberInputs:
 
 class TestGroupReferences:
     @pytest.mark.parametrize("name", ["C150000", "D60000", "EA1000x1000", "S1000000",
-                                      "C400xC400"])
+                                      "C400xC400", "PSL2_59", "PSL2_2305843009213693951"])
     @pytest.mark.usefixtures("no_large_closure")
     def test_group_above_the_order_bound_fails_in_one_line(self, capsys, name):
         code, out, err = run(capsys, "group", "info", "--group", name)
@@ -274,7 +274,7 @@ class TestGroupReferences:
         assert err == f"error: {ref!r} is neither a builtin group name nor a file\n"
 
     @pytest.mark.parametrize("name, reason", [
-        ("PSL2_37", "p must be a prime <= 31, got 37"),
+        ("PSL2_35", "p must be a prime, got 35"),
         ("D2", "dihedral groups need n >= 3 here"),
         ("C0", "cyclic group order must be positive"),
         ("A2", "alternating groups need n >= 3 here"),

@@ -16,7 +16,7 @@ from conftest import (
 from surfmoduli import catalog
 from surfmoduli.errors import AutBoundExceeded, DegreeMismatch, OrderBoundExceeded
 from surfmoduli.groups import GroupMap, PermGroup, Permutation, close
-from surfmoduli.triangles import SphericalTriple
+from surfmoduli.triangles import SphericalTriple, enumerate_triples
 
 
 class TestPermutation:
@@ -142,8 +142,7 @@ class TestClassMasks:
     def test_lazy_facts_are_not_built_with_the_group(self):
         G = catalog.builtin("A6")
         facts = ("_class_of", "_power_masks", "_classes", "_inner", "_automorphisms",
-                 "_class_firsts", "_class_reps", "_class_orders", "_power_walks",
-                 "_rational_leaders")
+                 "_class_reps", "_class_orders", "_power_walks", "_rational_leaders")
         for fact in facts:
             assert fact not in G.__dict__, fact
         # the closure hands over only the Cayley graph: the generator columns
@@ -151,7 +150,7 @@ class TestClassMasks:
         filled = {z for z, col in enumerate(table._cols) if col is not None}
         assert filled == {0, *map(G.index_of, G.generators)}
         assert not any(conj is not None for conj in table._conj)
-        assert not {"conjugators", "_by_generator"} & table.__dict__.keys()
+        assert "conjugators" not in table.__dict__
         G.power_class_signature(G.generators[0])
         assert "_class_of" in G.__dict__ and "_power_masks" in G.__dict__
 
@@ -159,7 +158,7 @@ class TestClassMasks:
     def test_power_masks_match_a_permutation_power_walk(self, name):
         G = catalog.builtin(name)
         masks = []
-        for g in (G.elements[x] for x in G._class_firsts):
+        for g in (G.elements[x] for x in G._class_reps):
             mask, p = 1, g
             while not p.is_identity():
                 mask |= 1 << G.class_index_of(p)
@@ -174,8 +173,8 @@ class TestClassMasks:
         table = G._table
         expected = set(map(G.index_of, G.generators))  # the Cayley graph
         leaders = sorted(set(G._rational_leaders))
-        assert len(leaders) < len(G._class_firsts)  # A6's two 5-classes share one walk
-        for z in map(G._class_firsts.__getitem__, leaders):
+        assert len(leaders) < len(G._class_reps)  # A6's two 5-classes share one walk
+        for z in map(G._class_of.index, leaders):
             expected.add(z)
             while z:
                 z = table.parent[z]
@@ -199,13 +198,13 @@ class TestClassMasks:
                 count, p = count + 1, p * g
             counts.append(count)
             assert G.element_order(g) == count, g
-        assert G._class_orders == [counts[x] for x in G._class_firsts]
+        assert G._class_orders == [counts[x] for x in G._class_reps]
 
     @pytest.mark.parametrize("name", ["C12", "C5xC4xC3", "D6", "S5", "A6", "PSL2_7"])
     def test_rational_leaders_are_the_first_class_of_each_cyclic_subgroup_type(self, name):
         # the rational class of x: the classes of the x^k, gcd(k, ord x) = 1
         G = catalog.builtin(name)
-        for ci, x in enumerate(G._class_firsts):
+        for ci, x in enumerate(G._class_reps):
             g, m = G.elements[x], G._class_orders[ci]
             rational = {G.class_index_of(g**k) for k in range(1, m + 1) if math.gcd(k, m) == 1}
             assert G._rational_leaders[ci] == min(rational), (name, ci)
@@ -331,6 +330,18 @@ class TestProductTable:
         for z in path[:-1]:
             p = table.parent[z]
             assert G.elements[z] == G.elements[p] * G.generators[table.via[z]]
+
+    def test_triple_enumeration_keeps_one_conjugation_map_per_generator(self):
+        # the class walk and the conjugation arrays read the conjugators;
+        # the table keeps no inverse copy of them
+        G = catalog.builtin("A6")
+        enumerate_triples(G)
+        table, E = G._table, G.elements
+        per_generator = {name for name, value in vars(table).items()
+                         if isinstance(value, (list, tuple)) and len(value) == len(G.generators)}
+        assert per_generator == {"cayley", "lefts", "conjugators"}
+        for s, conj in zip(G.generators, table.conjugators):
+            assert [E[y] for y in conj] == [s.inverse() * x * s for x in E]
 
 
 class TestIsSimple:
@@ -460,7 +471,7 @@ class TestAutomorphisms:
     def test_conjugating_elements_match_a_scan_of_the_transversal(self, name):
         G = catalog.builtin(name)
         E, transversal = G.elements, list(G._inner.values())
-        classes, firsts = G.conjugacy_classes(), G._class_firsts
+        classes, reps = G.conjugacy_classes(), G._class_reps
 
         def scan(x, y):
             return [h for h in transversal if E[x].conjugated_by(E[h]) == E[y]]
@@ -468,7 +479,7 @@ class TestAutomorphisms:
         for x in range(G.order):
             ci = G._class_of[x]
             representative = G.index_of(classes[ci].representative)
-            outside = firsts[(ci + 1) % len(firsts)]
+            outside = reps[(ci + 1) % len(reps)]
             assert G._conjugating(x, x) == scan(x, x)
             assert G._conjugating(x, x)[0] == 0  # the identity centralises x
             assert G._conjugating(x, representative) == scan(x, representative) != []
