@@ -149,13 +149,19 @@ def search(G: PermGroup, stop_at_first: bool = False) -> list[BeauvilleStructure
     simultaneous conjugation, and every triple is conjugate to one of
     them, so their supports are all the supports there are.  Inn(G) acts
     freely, so the orbit's canonical form (its least pair) is the one pair
-    whose t1 is least: the listing keeps the pairs whose t1 is least, in
-    key order, with each support's partners gathered once.  The first
-    structure pairs the first t1 that has a partner with its first partner
-    in enumeration order, so only the supports up to that partner are read,
-    and conjugates the pair into canonical form.
+    whose t1 is least: the listing keeps the pairs whose t1 is least, with
+    each support's partners gathered once.  The listing sorts the
+    hyperbolic triples by key once, so the t1 and each partner list come
+    in key order; a pair's key is t1's key then t2's, and the kept t1 are
+    distinct, so the pairs come out in key order with no sort of the
+    structures.  The first structure keeps enumeration order: it pairs the
+    first t1 that has a partner with its first partner, so only the
+    supports up to that partner are read, and conjugates the pair into
+    canonical form.
     """
     second = enumerate_triples(G, hyperbolic_only=True)
+    if not stop_at_first:
+        second.sort(key=SphericalTriple.key)
     reps = {id(G.elements[x]) for x in G._class_reps}
     led = list(compress(second, map(reps.__contains__, map(id, map(attrgetter("a"), second)))))
     realized = set(_supports(G, led))
@@ -179,7 +185,6 @@ def search(G: PermGroup, stop_at_first: bool = False) -> list[BeauvilleStructure
             if sig1 not in partners:
                 partners[sig1] = list(compress(second, map(fits.__getitem__, supports)))
             structures += [BeauvilleStructure(t1, t2, _check=False) for t2 in partners[sig1]]
-    structures.sort(key=BeauvilleStructure.key)
     return structures
 
 

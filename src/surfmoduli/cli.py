@@ -107,7 +107,9 @@ def cmd_triangles_enumerate(args):
     if args.mod_branch_permutation:
         seen, reduced = set(), []
         for t in triples:
-            orbit_key = min(x.key() for x in tr.branch_permutation_orbit(t))
+            orbit_key = min(
+                (x.images, y.images, z.images) for x, y, z in tr._branch_reorderings(t)
+            )
             if orbit_key not in seen:
                 seen.add(orbit_key)
                 reduced.append(t)

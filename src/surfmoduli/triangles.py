@@ -110,13 +110,15 @@ class SphericalTriple:
 
     def as_dict(self) -> dict:
         """JSON-ready form: group reference, images, type, genus."""
+        G = self.group
+        orders = [G.element_order(x) for x in (self.a, self.b, self.c)]
         return {
-            "group": self.group.name or f"degree{self.group.degree}",
+            "group": G.name or f"degree{G.degree}",
             "a": list(self.a.images),
             "b": list(self.b.images),
             "c": list(self.c.images),
-            "type": list(self.triple_type.orders),
-            "genus": genus(self),
+            "type": sorted(orders),
+            "genus": _genus(G.order, orders),
         }
 
 
@@ -322,6 +324,17 @@ def triples_equivalent(
     return mode == "unmarked" or tuple(image[index[g]] for g in G.generators) in G._inner
 
 
+def _branch_reorderings(t: SphericalTriple) -> list[tuple[Permutation, Permutation, Permutation]]:
+    """The entries of the six reorderings of t's branch points: the three
+    rotations of ``(a, b, c)`` and their reversals
+    ``(x, y, z) -> (z^-1, y^-1, x^-1)``, as the group's own elements, the
+    inverses read off the product table."""
+    G, a, b, c = t.group, t.a, t.b, t.c
+    elements, index, inv = G.elements, G._index, G._table.inverse
+    ai, bi, ci = (elements[inv[index[x]]] for x in (a, b, c))
+    return [(a, b, c), (b, c, a), (c, a, b), (ci, bi, ai), (ai, ci, bi), (bi, ai, ci)]
+
+
 def branch_permutation_orbit(t: SphericalTriple) -> list[SphericalTriple]:
     """The triples obtained by reordering the three branch points.
 
@@ -330,8 +343,6 @@ def branch_permutation_orbit(t: SphericalTriple) -> list[SphericalTriple]:
     product-one and generation conditions; coinciding triples are listed
     once, in key order.
     """
-    G, a, b, c = t.group, t.a, t.b, t.c
-    ai, bi, ci = (G.elements[G.index_of(x.inverse())] for x in (a, b, c))
-    images = [(a, b, c), (b, c, a), (c, a, b), (ci, bi, ai), (ai, ci, bi), (bi, ai, ci)]
-    orbit = {u.key(): u for u in (SphericalTriple(G, *x, _check=False) for x in images)}
+    orbit = {u.key(): u for u in (SphericalTriple(t.group, *x, _check=False)
+                                  for x in _branch_reorderings(t))}
     return sorted(orbit.values(), key=SphericalTriple.key)

@@ -289,6 +289,32 @@ class TestSearch:
             BeauvilleStructure(t, t)
 
 
+def listed_group(name):
+    return heisenberg_mod5() if name == "Heis5" else catalog.builtin(name)
+
+
+class TestListingOrder:
+    """The full listing comes out in key order as it is built: the
+    hyperbolic triples are sorted once, the structures never."""
+
+    @pytest.mark.parametrize("name", ["EA5x5", "S5", "PSL2_7", "Heis5"])
+    def test_the_listing_reads_no_structure_key(self, name, monkeypatch):
+        G = listed_group(name)
+        calls = []
+        key = BeauvilleStructure.key
+        monkeypatch.setattr(
+            BeauvilleStructure, "key", lambda self: calls.append(1) or key(self)
+        )
+        assert search(G)
+        assert calls == []
+
+    @pytest.mark.parametrize("name", ["EA5x5", "S5", "PSL2_7", "Heis5"])
+    def test_listing_keys_strictly_increase(self, name):
+        keys = [s.key() for s in search(listed_group(name))]
+        assert keys
+        assert all(x < y for x, y in zip(keys, keys[1:]))
+
+
 class TestCountStructures:
     def test_equals_the_listing_length(self, small_catalog):
         groups = list(small_catalog.values()) + [

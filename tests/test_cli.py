@@ -5,6 +5,7 @@ import json
 import pytest
 
 from surfmoduli.cli import main
+from surfmoduli.groups import Permutation
 
 
 def run(capsys, *argv):
@@ -177,6 +178,45 @@ class TestInputs:
                              "--csv", "--out", str(tmp_path / "no" / "x.csv"))
         assert code == 1 and out == ""
         assert err.strip().splitlines()[-1].startswith("error: cannot write")
+
+
+class TestModBranchPermutation:
+    """``triangles enumerate --mod-branch-permutation`` keeps the first
+    triple of each orbit under reordering the branch points, in
+    enumeration order."""
+
+    @staticmethod
+    def orbit_key(t):
+        # the rotations of (a, b, c) and their reversals (z^-1, y^-1, x^-1)
+        a, b = Permutation(t["a"]), Permutation(t["b"])
+        c = (a * b).inverse()
+        assert list(c.images) == t["c"]
+        rotations = [(a, b, c), (b, c, a), (c, a, b)]
+        reversals = [(z.inverse(), y.inverse(), x.inverse()) for x, y, z in rotations]
+        return min(tuple(x.images for x in u) for u in rotations + reversals)
+
+    @pytest.mark.parametrize("argv", [
+        ["--group", "S4"],
+        ["--group", "A5"],
+        ["--group", "PSL2_7", "--hyperbolic-only"],
+    ])
+    def test_keeps_the_first_triple_of_each_orbit(self, capsys, argv):
+        code, out, _ = run(capsys, "triangles", "enumerate", *argv, "--json")
+        assert code == 0
+        every = json.loads(out)["triples"]
+        seen, expected = set(), []
+        for t in every:
+            key = self.orbit_key(t)
+            if key not in seen:
+                seen.add(key)
+                expected.append(t)
+        assert len(every) > len(expected) > 0
+        code, out, _ = run(capsys, "triangles", "enumerate", *argv,
+                           "--mod-branch-permutation", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["count"] == len(expected)
+        assert doc["triples"] == expected
 
 
 class TestBraidInputShape:
