@@ -83,9 +83,6 @@ class BeauvilleStructure:
         """
         return triples_equivalent(self.t1, self.t2, mode="unmarked")
 
-    def invariants(self) -> SurfaceInvariants:
-        return structure_invariants(self)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BeauvilleStructure)
@@ -103,7 +100,7 @@ class BeauvilleStructure:
         return {
             "t1": self.t1.as_dict(),
             "t2": self.t2.as_dict(),
-            "invariants": self.invariants().as_dict(),
+            "invariants": structure_invariants(self).as_dict(),
             "triples_unmarked_equivalent": self.triples_unmarked_equivalent,
         }
 
@@ -313,12 +310,6 @@ class ScanRow(_Record):
         error: str | None = None,
     ):
         super().__init__(group, order, beauville, structures_found, elapsed_ms, error)
-
-    def as_dict(self) -> dict:
-        out = dict(zip(self.__slots__, self._values()))
-        if self.error is None:
-            del out["error"]
-        return out
 
 
 def scan(

@@ -87,8 +87,9 @@ class BidoubleInvariants(_Record):
         return self.invariants.ksq
 
     def as_dict(self) -> dict:
-        out = dict(self.invariants.as_dict())
-        out["ksq_paper"] = self.ksq_paper
+        inv = self.invariants
+        out = {"chi": inv.chi, "ksq": inv.ksq, "ksq_paper": self.ksq_paper,
+               "e": inv.e, "tau": inv.tau}
         if self.below_standard_bound:
             out["below_standard_bound"] = True
         return out

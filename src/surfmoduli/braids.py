@@ -655,21 +655,18 @@ def hurwitz_orbit(f: Factorization, budget: int = 10_000) -> OrbitResult:
     return _orbit(f, forms, budget, lambda cur: _hurwitz_moves(cur, forms))
 
 
-def _words_up_to(strands: int, max_len: int) -> list[BraidWord]:
-    letters = [(i, s) for i in range(1, strands) for s in (1, -1)]
-    out = [BraidWord.identity(strands)]
-    for length in range(1, max_len + 1):
-        for combo in itertools.product(letters, repeat=length):
-            out.append(BraidWord(strands, combo))
-    return out
-
-
 def m_equivalence_orbit(
     f: Factorization, budget: int, conjugator_cap: int = 1
 ) -> OrbitResult:
     """Bounded closure under the full move set: Hurwitz moves, simultaneous
     conjugation by single generators, and node-pair creation/cancellation
     with conjugators up to the given length.
+
+    The node pair of a conjugator ``l w`` is the pair of ``w`` conjugated
+    by the letter ``l``, so the pairs for conjugators of length k are
+    those for length k - 1 conjugated by each generator, letters
+    outermost.  The pairs come in the order of their conjugators: the
+    empty word, then the words of each length in lexicographic order.
 
     The move set is infinite in principle, so this only ever produces a
     bounded certificate: states reachable within the budget.
@@ -681,10 +678,11 @@ def m_equivalence_orbit(
         for s in (1, -1)
     ]
     gens = [(g, forms.inv(g)) for g in gens]
-    pairs = [
-        tuple(map(forms.word, _node_pair(f.strands, u)))
-        for u in _words_up_to(f.strands, conjugator_cap)
-    ]
+    level = [tuple(map(forms.word, _node_pair(f.strands, BraidWord.identity(f.strands))))]
+    pairs = list(level)
+    for _ in range(conjugator_cap):
+        level = [_conjugate(p, g, g_inv, forms.mul) for g, g_inv in gens for p in level]
+        pairs += level
 
     def moves(cur: tuple):
         out = _hurwitz_moves(cur, forms)

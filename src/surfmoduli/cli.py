@@ -132,6 +132,16 @@ def cmd_triangles_enumerate(args):
 # ------------------------------------------------------------ beauville
 
 
+def _structure_row(s):
+    d = s.as_dict()
+    return (
+        f"  t1={d['t1']['type']} genus {d['t1']['genus']}"
+        f" / t2={d['t2']['type']} genus {d['t2']['genus']}"
+        f" chi={d['invariants']['chi']}"
+        f" unmarked_equal={_human(d['triples_unmarked_equivalent'])}"
+    )
+
+
 def cmd_beauville_search(args):
     G = catalog.resolve(args.group)
     print(f"searching {G.name or args.group} (order {G.order})", file=sys.stderr)
@@ -147,22 +157,25 @@ def cmd_beauville_search(args):
         "beauville": found > 0,
         "structures_found": found,
     }
-    rows = [f"{k}: {_human(v)}" for k, v in doc.items()]
-    if args.structures:
-        doc["structures"] = [s.as_dict() for s in results]
-        for d in doc["structures"]:
-            rows.append(
-                f"  t1={d['t1']['type']} genus {d['t1']['genus']}"
-                f" / t2={d['t2']['type']} genus {d['t2']['genus']}"
-                f" chi={d['invariants']['chi']}"
-                f" unmarked_equal={_human(d['triples_unmarked_equivalent'])}"
-            )
-    _emit(doc, args, rows)
+    if not args.structures:
+        _emit(doc, args)
+        return 0
+    # each structure is rendered once, straight into the format asked for,
+    # so no document holds every structure's record at once
+    if args.json:
+        head = json.dumps(doc, separators=(",", ":"))[:-1]
+        records = ",".join(json.dumps(s.as_dict(), separators=(",", ":")) for s in results)
+        text = head + ',"structures":[' + records + "]}"
+    else:
+        rows = [f"{k}: {_human(v)}" for k, v in doc.items()]
+        text = "\n".join(rows + list(map(_structure_row, results)))
+    _write(text, args.out)
     return 0
 
 
 def cmd_beauville_scan(args):
-    groups = [catalog.resolve(ref) for ref in args.groups]
+    # references resolve one at a time, so each group is freed once scanned
+    groups = map(catalog.resolve, args.groups)
     def progress(row):
         print(
             f"scanned {row.group}: beauville={row.beauville}"
@@ -208,25 +221,12 @@ def cmd_abc_invariants(args):
     from . import bidouble as bd
 
     if args.d is None:
-        inv = bd.abc_invariants(bd.AbcType(args.a, args.b, args.c))
-        doc = {"a": args.a, "b": args.b, "c": args.c, "d": args.b}
+        t = bd.AbcType(args.a, args.b, args.c)
+        inv, doc = bd.abc_invariants(t), {**t.as_dict(), "d": args.b}
     else:
-        inv = bd.bidouble_invariants(
-            bd.BidoubleType(args.a, args.b, args.c, args.d)
-        )
-        doc = {"a": args.a, "b": args.b, "c": args.c, "d": args.d}
-    base = inv.invariants.as_dict()
-    doc.update(
-        {
-            "chi": base["chi"],
-            "ksq": base["ksq"],
-            "ksq_paper": inv.ksq_paper,
-            "e": base["e"],
-            "tau": base["tau"],
-        }
-    )
-    if inv.below_standard_bound:
-        doc["below_standard_bound"] = True
+        t = bd.BidoubleType(args.a, args.b, args.c, args.d)
+        inv, doc = bd.bidouble_invariants(t), t.as_dict()
+    doc.update(inv.as_dict())
     _emit(doc, args)
     return 0
 

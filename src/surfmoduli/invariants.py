@@ -16,7 +16,10 @@ from __future__ import annotations
 class _Record:
     """Immutable fields named by ``__slots__``: value equality and hashing
     within one class, a keyword repr, and no assignment after ``__init__``.
-    A subclass's ``__init__`` passes every field, in order, to this one."""
+    A subclass's ``__init__`` passes every field, in order, to this one.
+    ``as_dict`` gives the fields in ``__slots__`` order, leaving out those
+    whose value is ``None``; a record whose rendered fields are derived
+    overrides it."""
 
     __slots__ = ()
 
@@ -38,6 +41,10 @@ class _Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
+
+    def as_dict(self) -> dict:
+        fields = zip(self.__slots__, self._values())
+        return {name: value for name, value in fields if value is not None}
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -81,10 +88,3 @@ class SurfaceInvariants(_Record):
         return SurfaceInvariants(
             chi=chi, ksq=ksq, e=12 * chi - ksq, tau=ksq - 8 * chi, q=q, pg=pg
         )
-
-    def as_dict(self) -> dict:
-        out = {"chi": self.chi, "ksq": self.ksq, "e": self.e, "tau": self.tau}
-        if self.q is not None:
-            out["q"] = self.q
-            out["pg"] = self.pg
-        return out

@@ -211,12 +211,14 @@ def artin_images(strands, letters):
     return tuple(images)
 
 
-def naive_orbit(strands, factors, budget, full_moves=False):
+def naive_orbit(strands, factors, budget, full_moves=False, conjugator_cap=1):
     """Breadth-first orbit of a factorization, given as lists of signed
     integers, on literal words keyed by their Artin images: Hurwitz moves
     and, with ``full_moves``, conjugation by each generator and node pairs
-    (u s1^2 u^-1, u s1^-2 u^-1) for u of length at most 1, generated in
-    the library's order.  Returns the set of keys and the exhaustion flag."""
+    (u s1^2 u^-1, u s1^-2 u^-1) for u of length at most ``conjugator_cap``,
+    generated in the library's order: the empty word, then the words of
+    each length in lexicographic order of their letters.  Returns the set
+    of keys and the exhaustion flag."""
     images = {}
 
     def key(state):
@@ -226,7 +228,11 @@ def naive_orbit(strands, factors, budget, full_moves=False):
         return tuple(images[w] for w in state)
 
     letters = [((i, s),) for i in range(1, strands) for s in (1, -1)]
-    conjugators = [()] + letters
+    conjugators = [()] + [
+        sum(combo, ())
+        for length in range(1, conjugator_cap + 1)
+        for combo in itertools.product(letters, repeat=length)
+    ]
     pairs = [
         (u + ((1, 1), (1, 1)) + _free_inverse(u), u + ((1, -1), (1, -1)) + _free_inverse(u))
         for u in conjugators

@@ -581,21 +581,39 @@ class TestInvariants:
         import pickle
 
         from surfmoduli.beauville import ScanRow
+        from surfmoduli.bidouble import AbcType, BidoubleType
         from surfmoduli.invariants import SurfaceInvariants
 
         inv = SurfaceInvariants(chi=2, ksq=16, e=8, tau=0, q=0, pg=1)
         row = ScanRow("C5xC5", 25, True, 3, 7)
+        # as_dict gives the fields in __slots__ order, leaving out None
         cases = [
             (inv, (2, 16, 8, 0, 0, 1),
-             "SurfaceInvariants(chi=2, ksq=16, e=8, tau=0, q=0, pg=1)"),
+             "SurfaceInvariants(chi=2, ksq=16, e=8, tau=0, q=0, pg=1)",
+             {"chi": 2, "ksq": 16, "e": 8, "tau": 0, "q": 0, "pg": 1}),
+            (SurfaceInvariants(1, 8, 4, 0), (1, 8, 4, 0, None, None),
+             "SurfaceInvariants(chi=1, ksq=8, e=4, tau=0, q=None, pg=None)",
+             {"chi": 1, "ksq": 8, "e": 4, "tau": 0}),
             (row, ("C5xC5", 25, True, 3, 7, None),
              "ScanRow(group='C5xC5', order=25, beauville=True, structures_found=3,"
-             " elapsed_ms=7, error=None)"),
+             " elapsed_ms=7, error=None)",
+             {"group": "C5xC5", "order": 25, "beauville": True, "structures_found": 3,
+              "elapsed_ms": 7}),
+            (ScanRow("S3", 6, False, 0, 1, "boom"), ("S3", 6, False, 0, 1, "boom"),
+             "ScanRow(group='S3', order=6, beauville=False, structures_found=0,"
+             " elapsed_ms=1, error='boom')",
+             {"group": "S3", "order": 6, "beauville": False, "structures_found": 0,
+              "elapsed_ms": 1, "error": "boom"}),
+            (AbcType(2, 3, 5), (2, 3, 5), "AbcType(a=2, b=3, c=5)",
+             {"a": 2, "b": 3, "c": 5}),
+            (BidoubleType(3, 4, 5, 6), (3, 4, 5, 6), "BidoubleType(a=3, b=4, c=5, d=6)",
+             {"a": 3, "b": 4, "c": 5, "d": 6}),
         ]
-        for record, values, text in cases:
+        for record, values, text, fields in cases:
             assert record == type(record)(*values) and hash(record) == hash(values)
             assert record != values
             assert repr(record) == text
+            assert list(record.as_dict().items()) == list(fields.items())
             assert pickle.loads(pickle.dumps(record)) == copy.deepcopy(record) == record
             with pytest.raises(AttributeError, match="cannot assign to field 'order'"):
                 record.order = 1
@@ -603,7 +621,6 @@ class TestInvariants:
                 del record.e
         assert inv == SurfaceInvariants.from_chi_ksq(2, 16, q=0, pg=1)
         assert inv != SurfaceInvariants(2, 16, 8, 0) and row != ScanRow("C5xC5", 25, True, 3, 8)
-        assert SurfaceInvariants(1, 8, 4, 0).as_dict() == {"chi": 1, "ksq": 8, "e": 4, "tau": 0}
         for args, message in [
             ((1, 8, 5, 0), "e must equal 12"),
             ((1, 8, 4, 1), "tau must equal"),

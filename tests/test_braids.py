@@ -489,6 +489,18 @@ class TestOrbits:
         assert got == want
         assert len(orbit) == len(want) and orbit.exhausted is exhausted
 
+    def test_cap_2_m_orbit_matches_the_oracle(self):
+        # the node pairs of length-2 conjugators are built by conjugating
+        # those of length 1; the oracle spells every conjugator out
+        orbit = m_equivalence_orbit(F(3, [[1], [2]]), budget=300, conjugator_cap=2)
+        want, exhausted = naive_orbit(3, [[1], [2]], 300, full_moves=True, conjugator_cap=2)
+        got = {
+            tuple(artin_images(3, w.letters) for w in g.factors)
+            for g in orbit.factorizations
+        }
+        assert got == want
+        assert len(orbit) == len(want) and orbit.exhausted is exhausted
+
     def test_b3_orbit_passes_budget_500_under_the_default_cap(self):
         orbit = hurwitz_orbit(F(3, [[1], [1], [2], [2]]), budget=500)
         assert len(orbit) == 500 and not orbit.exhausted

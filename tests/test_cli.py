@@ -1,9 +1,12 @@
 """Command-line interface: golden outputs, exit codes, JSON round trips."""
 
 import json
+from functools import lru_cache
 
 import pytest
 
+from surfmoduli import catalog
+from surfmoduli.beauville import search
 from surfmoduli.cli import main
 from surfmoduli.groups import Permutation
 
@@ -28,6 +31,21 @@ class TestGoldenOutputs:
         assert code == 0
         doc = json.loads(out)
         assert doc["chi"] == 34 and doc["ksq"] == 128 and doc["ksq_paper"] == 16
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (("2", "3", "5"),
+             '{"a":2,"b":3,"c":5,"d":3,"chi":41,"ksq":160,"ksq_paper":20,'
+             '"e":332,"tau":-168,"below_standard_bound":true}'),
+            (("3", "4", "5", "6"),
+             '{"a":3,"b":4,"c":5,"d":6,"chi":90,"ksq":384,"ksq_paper":48,'
+             '"e":696,"tau":-336}'),
+        ],
+    )
+    def test_abc_invariants_json_is_pinned(self, capsys, argv, text):
+        code, out, _ = run(capsys, "abc", "invariants", *argv, "--json")
+        assert code == 0 and out == text + "\n"
 
     def test_abc_nondef_names_failing_clause(self, capsys):
         code, out, _ = run(capsys, "abc", "nondef", "14", "8", "6", "3")
@@ -54,6 +72,52 @@ class TestGoldenOutputs:
         assert code == 0
         doc = json.loads(out)
         assert doc["orbit_size"] == 3 and doc["exhausted"] is True
+
+
+@lru_cache(maxsize=None)
+def _listing(name, first):
+    """The --structures document of ``name``, built from search()'s records."""
+    G = catalog.builtin(name)
+    structures = search(G, stop_at_first=first)
+    head = {"group": name, "order": G.order, "beauville": bool(structures),
+            "structures_found": len(structures)}
+    return head, [s.as_dict() for s in structures]
+
+
+def _listing_text(name, first, as_json):
+    head, records = _listing(name, first)
+    if as_json:
+        return json.dumps({**head, "structures": records}, separators=(",", ":")) + "\n"
+    yes_no = {True: "yes", False: "no"}
+    rows = [f"{k}: {yes_no[v] if isinstance(v, bool) else v}" for k, v in head.items()]
+    rows += [
+        f"  t1={d['t1']['type']} genus {d['t1']['genus']}"
+        f" / t2={d['t2']['type']} genus {d['t2']['genus']}"
+        f" chi={d['invariants']['chi']}"
+        f" unmarked_equal={yes_no[d['triples_unmarked_equivalent']]}"
+        for d in records
+    ]
+    return "\n".join(rows) + "\n"
+
+
+class TestStructureListing:
+    @pytest.mark.parametrize(
+        "name, first",
+        [("S5", False), ("PSL2_7", False), ("PSL2_7", True), ("EA5x5", False)],
+    )
+    @pytest.mark.parametrize("as_json", [True, False])
+    def test_prints_the_records_of_search(self, capsys, name, first, as_json):
+        argv = ["beauville", "search", "--group", name, "--structures"]
+        argv += ["--first"] * first + ["--json"] * as_json
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == _listing_text(name, first, as_json)
+
+    def test_out_file_holds_the_same_document(self, capsys, tmp_path):
+        target = tmp_path / "listing.json"
+        code, out, _ = run(capsys, "beauville", "search", "--group", "EA5x5",
+                           "--structures", "--json", "--out", str(target))
+        assert code == 0 and out == ""
+        assert target.read_text() == _listing_text("EA5x5", False, True)
 
 
 class TestJsonDiscipline:
@@ -165,6 +229,14 @@ class TestInputs:
         assert code == 1 and out == ""
         assert err.startswith("error: cannot write --out ")
         assert len(err.strip().splitlines()) == 1
+
+    def test_scan_resolves_references_as_it_goes(self, capsys):
+        code, out, err = run(capsys, "beauville", "scan", "--groups", "C5", "C6",
+                             "NOPE", "S3")
+        assert code == 1 and out == ""
+        lines = err.strip().splitlines()
+        assert [line.split(":")[0] for line in lines[:2]] == ["scanned C5", "scanned C6"]
+        assert lines[2:] == ["error: 'NOPE' is neither a builtin group name nor a file"]
 
     def test_scan_csv_goes_through_the_same_writer(self, capsys, tmp_path):
         target = tmp_path / "scan.csv"
