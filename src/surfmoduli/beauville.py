@@ -26,7 +26,6 @@ from __future__ import annotations
 import time
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from functools import cached_property
 from itertools import compress
 from math import isqrt
 from operator import attrgetter, or_
@@ -60,6 +59,8 @@ def is_beauville_pair(t1: SphericalTriple, t2: SphericalTriple) -> bool:
 class BeauvilleStructure:
     """An ordered pair of triples forming an unmixed Beauville structure."""
 
+    __slots__ = ("t1", "t2")
+
     def __init__(self, t1: SphericalTriple, t2: SphericalTriple, _check=True):
         if _check and not is_beauville_pair(t1, t2):
             raise ValueError("the two triples do not form a Beauville structure")
@@ -73,7 +74,7 @@ class BeauvilleStructure:
     def key(self) -> tuple:
         return self.t1.key() + self.t2.key()
 
-    @cached_property
+    @property
     def triples_unmarked_equivalent(self) -> bool:
         """Whether the two triples are equivalent under some automorphism.
 
@@ -97,12 +98,26 @@ class BeauvilleStructure:
         return f"BeauvilleStructure({self.t1!r}, {self.t2!r})"
 
     def as_dict(self) -> dict:
-        return {
-            "t1": self.t1.as_dict(),
-            "t2": self.t2.as_dict(),
-            "invariants": structure_invariants(self).as_dict(),
-            "triples_unmarked_equivalent": self.triples_unmarked_equivalent,
-        }
+        return next(_records((self,)))
+
+
+def _records(structures: Iterable[BeauvilleStructure]) -> Iterator[dict]:
+    """Each structure's record, as :meth:`BeauvilleStructure.as_dict` gives it.
+    The records share one dict per distinct triple (kept by id, the triple
+    held so that its id stays its own) and one invariants dict per genus
+    pair and |G|, on which alone a structure's invariants depend."""
+    triples: dict[int, tuple[SphericalTriple, dict]] = {}
+    surfaces: dict[tuple[int, int, int], dict] = {}
+    for s in structures:
+        for t in (s.t1, s.t2):
+            if id(t) not in triples:
+                triples[id(t)] = t, t.as_dict()
+        d1, d2 = triples[id(s.t1)][1], triples[id(s.t2)][1]
+        key = (d1["genus"], d2["genus"], s.group.order)
+        if key not in surfaces:
+            surfaces[key] = structure_invariants(s).as_dict()
+        yield {"t1": d1, "t2": d2, "invariants": surfaces[key],
+               "triples_unmarked_equivalent": s.triples_unmarked_equivalent}
 
 
 def _least_conjugator(t: SphericalTriple) -> Permutation:
@@ -264,11 +279,8 @@ def count_structures(G: PermGroup, stop_at_first: bool = False) -> int:
     return min(pairs, 1) if stop_at_first else len(G._inner) * pairs
 
 
-def isogenous_invariants(
-    g1: int, g2: int, group_order: int
-) -> SurfaceInvariants:
-    """Invariants of a free quotient of a product of curves of genera
-    ``g1, g2 >= 2`` by a group of the given order."""
+def _chi(g1: int, g2: int, group_order: int) -> int:
+    """chi for :func:`isogenous_invariants`, its arguments checked."""
     if g1 < 2 or g2 < 2:
         raise ValueError("both genera must be at least 2")
     if group_order < 1:
@@ -278,7 +290,15 @@ def isogenous_invariants(
         raise NonIntegralChi(
             f"({g1}-1)({g2}-1) = {num} is not divisible by {group_order}"
         )
-    chi = num // group_order
+    return num // group_order
+
+
+def isogenous_invariants(
+    g1: int, g2: int, group_order: int
+) -> SurfaceInvariants:
+    """Invariants of a free quotient of a product of curves of genera
+    ``g1, g2 >= 2`` by a group of the given order."""
+    chi = _chi(g1, g2, group_order)
     return SurfaceInvariants.from_chi_ksq(chi, 8 * chi)
 
 
@@ -287,12 +307,8 @@ def structure_invariants(structure: BeauvilleStructure) -> SurfaceInvariants:
 
     Both quotient curves are rational, so q = 0 and pg = chi - 1.
     """
-    base = isogenous_invariants(
-        genus(structure.t1), genus(structure.t2), structure.group.order
-    )
-    return SurfaceInvariants.from_chi_ksq(
-        base.chi, base.ksq, q=0, pg=base.chi - 1
-    )
+    chi = _chi(genus(structure.t1), genus(structure.t2), structure.group.order)
+    return SurfaceInvariants.from_chi_ksq(chi, 8 * chi, q=0, pg=chi - 1)
 
 
 class ScanRow(_Record):

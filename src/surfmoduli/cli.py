@@ -41,6 +41,20 @@ def _emit(doc, args, rows=None):
     _write(text, args.out)
 
 
+def _json_records(records):
+    """Each record's compact JSON text.  A key or value that records share
+    (``bv._records`` shares each triple's and each genus pair's dict) is
+    encoded once: texts are kept by id, the object held so that its id
+    stays its own."""
+    texts = {}
+    for record in records:
+        for x in (*record, *record.values()):
+            if id(x) not in texts:
+                texts[id(x)] = x, json.dumps(x, separators=(",", ":"))
+        fields = (f"{texts[id(k)][1]}:{texts[id(v)][1]}" for k, v in record.items())
+        yield "{" + ",".join(fields) + "}"
+
+
 def _write(text, out):
     """Print ``text`` to stdout, or write it to the file ``out``."""
     if not out:
@@ -132,8 +146,7 @@ def cmd_triangles_enumerate(args):
 # ------------------------------------------------------------ beauville
 
 
-def _structure_row(s):
-    d = s.as_dict()
+def _structure_row(d):
     return (
         f"  t1={d['t1']['type']} genus {d['t1']['genus']}"
         f" / t2={d['t2']['type']} genus {d['t2']['genus']}"
@@ -164,11 +177,10 @@ def cmd_beauville_search(args):
     # so no document holds every structure's record at once
     if args.json:
         head = json.dumps(doc, separators=(",", ":"))[:-1]
-        records = ",".join(json.dumps(s.as_dict(), separators=(",", ":")) for s in results)
-        text = head + ',"structures":[' + records + "]}"
+        text = head + ',"structures":[' + ",".join(_json_records(bv._records(results))) + "]}"
     else:
         rows = [f"{k}: {_human(v)}" for k, v in doc.items()]
-        text = "\n".join(rows + list(map(_structure_row, results)))
+        text = "\n".join(rows + list(map(_structure_row, bv._records(results))))
     _write(text, args.out)
     return 0
 

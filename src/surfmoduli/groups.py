@@ -494,6 +494,11 @@ class PermGroup:
         return self._power_walks[0]
 
     @cached_property
+    def _class_sizes(self) -> list[int]:
+        """Per class, its size (Counter keeps first-seen order, the class order)."""
+        return list(Counter(self._class_of).values())
+
+    @cached_property
     def _power_masks(self) -> list[int]:
         """Per class, the bitmask of the classes its elements' powers meet."""
         return self._power_walks[1]
@@ -667,8 +672,7 @@ class PermGroup:
             )
         table, class_of = self._table, self._class_of
         gens = [self._index[g] for g in self.generators]
-        # classes are numbered by first element, so Counter lists them in order
-        kind = list(zip(self._class_orders, Counter(class_of).values()))
+        kind = list(zip(self._class_orders, self._class_sizes))
         order_of = [self._class_orders[ci] for ci in class_of]
         candidates = [
             [t for t, ci in enumerate(class_of) if kind[ci] == kind[class_of[g]]]

@@ -16,7 +16,6 @@ automorphism of G, inner for marked equivalence, carries one to the other.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable
 from itertools import groupby
 from operator import itemgetter
@@ -213,7 +212,7 @@ def _orbit_candidates(G: PermGroup, classes: Iterable[int] | None = None):
     of r^-1 (c = b^-1 r^-1).
     """
     table, n, reps = G._table, G.order, G._class_reps
-    inv, sizes = table.inverse, Counter(G._class_of)
+    inv, sizes = table.inverse, G._class_sizes
     for ci in range(len(reps)) if classes is None else classes:
         if sizes[ci] == 1 and not G.is_abelian:
             continue
@@ -309,15 +308,24 @@ def triples_equivalent(
     """Equivalence of triples under inner (marked) or all (unmarked)
     automorphisms, applied componentwise.
 
-    a1 and b1 generate G, so the only candidate map is the extension of
-    a1 -> a2, b1 -> b2 by :meth:`PermGroup._extend`; if it exists, it maps
-    onto <a2, b2> = G, so it is an automorphism (c follows).
+    An inner automorphism fixes every class, and any automorphism permutes
+    the classes keeping element order and class size, so entries that
+    differ in class (marked) or in order or class size (unmarked) answer
+    ``False`` at once.  Otherwise a1 and b1 generate G, so the only
+    candidate map is the extension of a1 -> a2, b1 -> b2 by
+    :meth:`PermGroup._extend`; if it exists, it maps onto <a2, b2> = G, so
+    it is an automorphism (c follows).
     """
     if t1.group is not t2.group:
         raise GroupMismatch("triples live on different groups")
     if mode not in ("marked", "unmarked"):
         raise ValueError(f"unknown mode {mode!r}")
     G, index = t1.group, t1.group._index
+    kinds = [G._class_of[index[x]] for x in (t1.a, t1.b, t1.c, t2.a, t2.b, t2.c)]
+    if mode == "unmarked":
+        kinds = [(G._class_orders[ci], G._class_sizes[ci]) for ci in kinds]
+    if kinds[:3] != kinds[3:]:
+        return False
     image = G._extend((index[t1.a], index[t1.b]), G, (index[t2.a], index[t2.b]))
     if image is None:
         return False

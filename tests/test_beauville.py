@@ -10,6 +10,7 @@ from surfmoduli import catalog
 from surfmoduli.beauville import (
     BeauvilleStructure,
     _least_conjugator,
+    _records,
     _support_orbits,
     _supports,
     count_structures,
@@ -636,3 +637,29 @@ class TestInvariants:
         assert isinstance(s.triples_unmarked_equivalent, bool)
         d = s.as_dict()
         assert "triples_unmarked_equivalent" in d
+
+
+def _containers(record):
+    """The ids of every dict and list in a record, nested ones included."""
+    ids, todo = set(), [record]
+    while todo:
+        x = todo.pop()
+        ids.add(id(x))
+        todo += [v for v in (x.values() if isinstance(x, dict) else x) if isinstance(v, (dict, list))]
+    return ids
+
+
+class TestListingRecords:
+    @pytest.mark.parametrize("name", ["S5", "PSL2_7", "EA5x5"])
+    def test_listing_records_are_each_structures_own(self, name):
+        structures = search(catalog.builtin(name))
+        assert not hasattr(structures[0], "__dict__")
+        assert list(_records(structures)) == [s.as_dict() for s in structures]
+
+    @pytest.mark.parametrize("name", ["S5", "PSL2_7", "EA5x5"])
+    def test_as_dict_never_hands_out_the_same_container_twice(self, name):
+        s, u = search(catalog.builtin(name))[:2]
+        assert u.t1 is s.t1  # a listing's consecutive structures share t1
+        records = [s.as_dict(), s.as_dict(), u.as_dict()]
+        seen = [_containers(r) for r in records]
+        assert all(not x & y for i, x in enumerate(seen) for y in seen[i + 1:])

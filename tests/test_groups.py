@@ -142,7 +142,8 @@ class TestClassMasks:
     def test_lazy_facts_are_not_built_with_the_group(self):
         G = catalog.builtin("A6")
         facts = ("_class_of", "_power_masks", "_classes", "_inner", "_automorphisms",
-                 "_class_reps", "_class_orders", "_power_walks", "_rational_leaders")
+                 "_class_reps", "_class_orders", "_class_sizes", "_power_walks",
+                 "_rational_leaders")
         for fact in facts:
             assert fact not in G.__dict__, fact
         # the closure hands over only the Cayley graph: the generator columns
@@ -153,6 +154,7 @@ class TestClassMasks:
         assert "conjugators" not in table.__dict__
         G.power_class_signature(G.generators[0])
         assert "_class_of" in G.__dict__ and "_power_masks" in G.__dict__
+        assert G._class_sizes == [len(c) for c in G.conjugacy_classes()]
 
     @pytest.mark.parametrize("name", ["S5", "PSL2_7", "D6", "C5xC4xC3", "EA5x5"])
     def test_power_masks_match_a_permutation_power_walk(self, name):

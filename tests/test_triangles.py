@@ -220,32 +220,67 @@ class TestEquivalence:
                 assert triples_equivalent(t1, t2, mode="marked") == (t2 in conjugates)
 
     @pytest.mark.parametrize(
-        "name", ["S4", "D4", "A4", "D6", "S3xC3", "EA3x3", "EA5x5", "A5", "PSL2_7"]
+        "name",
+        ["S4", "D4", "A4", "D6", "S3xC3", "EA3x3", "EA5x5", "A5", "PSL2_7", "A6", "S6",
+         "A4xS3"],
     )
-    def test_unmarked_matches_a_scan_of_every_automorphism(self, name):
+    def test_unmarked_matches_a_scan_of_every_automorphism(self, name, monkeypatch):
+        # A6 and S6 have outer automorphisms that swap classes of equal
+        # element order and class size; A4xS3 has generating triples alike
+        # in their entries' orders but not in their class sizes
         G = catalog.builtin(name)
         auts = G.automorphisms()
+        kind = {}  # element -> (order, class size), by brute-force conjugation
+        for x in G.elements:
+            if x not in kind:
+                cls = {x.conjugated_by(h) for h in G.elements}
+                kind.update(dict.fromkeys(cls, (x.order(), len(cls))))
+        order = {x: k[0] for x, k in kind.items()}
+        walks = []
+        extend = PermGroup._extend
+        monkeypatch.setattr(
+            PermGroup, "_extend", lambda *args: walks.append(1) or extend(*args)
+        )
         rng = random.Random(name)
         triples = []
         while len(triples) < 12:
             a, b = rng.choice(G.elements), rng.choice(G.elements)
             if G.generates_pair(a, b):
                 triples.append(SphericalTriple(G, a, b, (a * b).inverse()))
-        equivalent = 0
-        for i in range(60):
+        decided = {"reject": 0, "walk": 0, "equivalent": 0}
+        for i in range(120):
             t1 = rng.choice(triples)
-            if i % 2:  # an automorphic image, now and then conjugated too
+            if i % 4 == 1:  # an automorphic image, now and then conjugated too
                 phi = rng.choice(auts)
                 a, b = phi(t1.a), phi(t1.b)
                 t2 = SphericalTriple(G, a, b, (a * b).inverse())
                 if rng.random() < 0.5:
                     t2 = t2.conjugated_by(rng.choice(G.elements))
+            elif i % 4 > 1:  # entries alike t1's in order and class size, or in order
+                like = kind if i % 4 == 2 else order
+                alike_a = [x for x in G.elements if like[x] == like[t1.a]]
+                alike_b = [x for x in G.elements if like[x] == like[t1.b]]
+                while True:
+                    a, b = rng.choice(alike_a), rng.choice(alike_b)
+                    c = (a * b).inverse()
+                    if like[c] == like[t1.c] and G.generates_pair(a, b):
+                        break
+                t2 = SphericalTriple(G, a, b, c)
             else:
                 t2 = rng.choice(triples)
             expected = any(phi(t1.a) == t2.a and phi(t1.b) == t2.b for phi in auts)
+            pairs = ((t1.a, t2.a), (t1.b, t2.b), (t1.c, t2.c))
+            agree = all(kind[x] == kind[y] for x, y in pairs)
+            walks.clear()
             assert triples_equivalent(t1, t2, mode="unmarked") == expected
-            equivalent += expected
-        assert equivalent >= 30
+            # the walk runs exactly when every entry pair agrees in order and class size
+            assert bool(walks) == agree
+            decided["equivalent"] += expected
+            decided["reject"] += not agree
+            decided["walk"] += agree and not expected
+        assert decided["equivalent"] >= 30
+        if name in ("A5", "PSL2_7", "A6", "S6"):  # each decision path answers some pairs
+            assert decided["reject"] > 0 and decided["walk"] > 0
 
     def test_neither_mode_needs_the_automorphism_group(self, monkeypatch):
         def refuse(self):
