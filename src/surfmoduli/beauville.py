@@ -31,7 +31,7 @@ from math import isqrt
 from operator import attrgetter, or_
 
 from .errors import GroupMismatch, NonIntegralChi, SurfModuliError
-from .groups import PermGroup, Permutation
+from .groups import PermGroup
 from .invariants import SurfaceInvariants, _Record
 from .triangles import (
     SphericalTriple,
@@ -120,8 +120,8 @@ def _records(structures: Iterable[BeauvilleStructure]) -> Iterator[dict]:
                "triples_unmarked_equivalent": s.triples_unmarked_equivalent}
 
 
-def _least_conjugator(t: SphericalTriple) -> Permutation:
-    """The element h of the centre transversal making h t h^-1 least.
+def _least_conjugator(t: SphericalTriple) -> int:
+    """The index h of the centre transversal element making h t h^-1 least.
 
     h is unique, as Inn(G) acts freely on generating triples; it also makes
     any pair (t, t2) least, because a pair's key starts with t's key.  The
@@ -131,22 +131,19 @@ def _least_conjugator(t: SphericalTriple) -> Permutation:
     representative) can win: ``G._conjugating(a, l)``.  (In :func:`search`
     a is l, and triple enumeration has filled both columns it reads.)  The
     second entries decide among the kept h, so conjugation arrays are
-    built for those alone.
+    built for those alone, and the winner's stays kept.
     """
-    G = t.group
-    table, index, elements = G._table, G._index, G.elements
-    a, b = index[t.a], index[t.b]
+    G, a, b = t.group, t.ia, t.ib
+    table, elements = G._table, G.elements
     kept = G._conjugating(a, G._class_reps[G._class_of[a]])
-    return elements[min(kept, key=lambda h: elements[table.conjugation(h)[b]].images)]
+    return min(kept, key=lambda h: elements[table.conjugation(h)[b]].images)
 
 
 def _supports(G: PermGroup, triples: Sequence[SphericalTriple]) -> Iterator[int]:
     """Each triple's class support, as :func:`sigma_class_indices` gives it,
-    read lazily per element in C-level passes.  The entries are the
-    group's own element objects, so a dict keyed by their ids gives each
-    one's power mask without hashing a :class:`Permutation`."""
-    mask_of = dict(zip(map(id, G.elements), map(G._power_masks.__getitem__, G._class_of)))
-    a, b, c = (map(mask_of.__getitem__, map(id, map(attrgetter(x), triples))) for x in "abc")
+    read lazily off the per-element power masks in C-level passes."""
+    masks = G._element_masks
+    a, b, c = (map(masks.__getitem__, map(attrgetter(x), triples)) for x in ("ia", "ib", "ic"))
     return map(or_, map(or_, a, b), c)
 
 
@@ -169,13 +166,13 @@ def search(G: PermGroup, stop_at_first: bool = False) -> list[BeauvilleStructure
     structures.  The first structure keeps enumeration order: it pairs the
     first t1 that has a partner with its first partner, so only the
     supports up to that partner are read, and conjugates the pair into
-    canonical form.
+    canonical form by the array the least conjugator has filled.
     """
     second = enumerate_triples(G, hyperbolic_only=True)
     if not stop_at_first:
         second.sort(key=SphericalTriple.key)
-    reps = {id(G.elements[x]) for x in G._class_reps}
-    led = list(compress(second, map(reps.__contains__, map(id, map(attrgetter("a"), second)))))
+    reps = set(G._class_reps)
+    led = list(compress(second, map(reps.__contains__, map(attrgetter("ia"), second))))
     realized = set(_supports(G, led))
     # the listing reads every support, the first structure those up to its partner
     supports = _supports(G, second) if stop_at_first else list(_supports(G, second))
@@ -192,8 +189,10 @@ def search(G: PermGroup, stop_at_first: bool = False) -> list[BeauvilleStructure
         h = _least_conjugator(t1)
         if stop_at_first:
             t2 = next(compress(second, map(fits.__getitem__, supports)))
-            return [BeauvilleStructure(t1.conjugated_by(h), t2.conjugated_by(h), _check=False)]
-        if h == G.identity:
+            conj = G._table.conjugation(h)
+            t1, t2 = (SphericalTriple._of(G, conj[t.ia], conj[t.ib], conj[t.ic]) for t in (t1, t2))
+            return [BeauvilleStructure(t1, t2, _check=False)]
+        if h == 0:  # the identity
             if sig1 not in partners:
                 partners[sig1] = list(compress(second, map(fits.__getitem__, supports)))
             structures += [BeauvilleStructure(t1, t2, _check=False) for t2 in partners[sig1]]
@@ -236,14 +235,14 @@ def _support_orbits(G: PermGroup, stop_at_first: bool = False) -> dict[int, int]
     candidate once per class of that rational class (phi(ord r) times).
     """
     elements, class_of = G.elements, G._class_of
-    order_of = [G._class_orders[ci] for ci in class_of]
+    order_of = G._element_orders
     leaders, weight = None, [1] * len(G._class_reps)
     if G.is_abelian:
         if _needs_three_generators(order_of):
             return {}
         weight = Counter(G._rational_leaders)
         leaders = list(weight)  # in class order: a leader is its rational class's first class
-    mask_of = [G._power_masks[ci] for ci in class_of]
+    mask_of = G._element_masks
     candidates: dict[int, list[tuple[int, int]]] = {}
     for ir, ib, ic, _ in _orbit_candidates(G, leaders):
         if _hyperbolic_orders(order_of[ir], order_of[ib], order_of[ic]):

@@ -90,15 +90,14 @@ def _parse(flag, text, kind, what):
 
 def cmd_group_info(args):
     G = catalog.resolve(args.group)
-    classes = G.conjugacy_classes()
     doc = {
         "group": G.name or args.group,
         "degree": G.degree,
         "order": G.order,
         "abelian": G.is_abelian,
         "simple": G.is_simple() if G.order >= 2 else False,
-        "classes": len(classes),
-        "class_sizes": sorted(len(c) for c in classes),
+        "classes": len(G._class_sizes),
+        "class_sizes": sorted(G._class_sizes),
     }
     _emit(doc, args)
     return 0
@@ -119,15 +118,11 @@ def cmd_triangles_enumerate(args):
         G, triple_type=ttype, hyperbolic_only=args.hyperbolic_only
     )
     if args.mod_branch_permutation:
-        seen, reduced = set(), []
+        # each orbit, named by its least index tuple, keeps the first triple met
+        orbits = {}
         for t in triples:
-            orbit_key = min(
-                (x.images, y.images, z.images) for x, y, z in tr._branch_reorderings(t)
-            )
-            if orbit_key not in seen:
-                seen.add(orbit_key)
-                reduced.append(t)
-        triples = reduced
+            orbits.setdefault(min(tr._branch_reorderings(t)), t)
+        triples = list(orbits.values())
     doc = {
         "group": G.name or args.group,
         "order": G.order,

@@ -8,10 +8,11 @@ simplicity, automorphisms -- reduces to finite enumeration with no
 floating point and no randomness.  All public types are immutable after
 construction and safe to share between workers.
 
-Inside the searches an element is its index in ``G.elements``.  The
-closure keeps the Cayley graph it walks and its breadth-first tree: the
-regular action of G on those indices, held as a product table by columns
-(see :class:`_ProductTable`).  Inverses, classes, the centre transversal,
+Inside the searches an element is its index in ``G.elements``, and a
+triple (:class:`~surfmoduli.triangles.SphericalTriple`) holds three.
+The closure keeps the Cayley graph it walks and its breadth-first tree:
+the regular action of G on those indices, held as a product table by
+columns (see :class:`_ProductTable`).  Inverses, classes, the centre transversal,
 normal closures, generation tests, triple enumeration and equivalence,
 least conjugators and automorphisms all read these index arrays.  The
 action of G on itself by conjugation is read off the same tree: one map
@@ -19,8 +20,9 @@ per generator, and the array of any other element composed from them
 along its inverse's tree path, so conjugation fills no product-table column.
 Element orders and power masks come from one walk along a product-table
 column per rational class (the classes of the generators of one cyclic
-subgroup, up to conjugacy).  After construction no :class:`Permutation`
-is multiplied; they are read only at I/O.
+subgroup, up to conjugacy), kept per class and per element.  No search
+multiplies a :class:`Permutation`; they are read at I/O and by the
+checked constructors.
 """
 
 from __future__ import annotations
@@ -388,7 +390,7 @@ class PermGroup:
             raise ValueError(f"{g!r} is not an element of {self!r}") from None
 
     def element_order(self, g: Permutation) -> int:
-        return self._class_orders[self._class_of[self.index_of(g)]]
+        return self._element_orders[self.index_of(g)]
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -504,6 +506,16 @@ class PermGroup:
         return self._power_walks[1]
 
     @cached_property
+    def _element_orders(self) -> list[int]:
+        """Per element index, its order."""
+        return list(map(self._class_orders.__getitem__, self._class_of))
+
+    @cached_property
+    def _element_masks(self) -> list[int]:
+        """Per element index, its power mask."""
+        return list(map(self._power_masks.__getitem__, self._class_of))
+
+    @cached_property
     def _rational_leaders(self) -> list[int]:
         """Per class, the leading class of its rational class."""
         return self._power_walks[2]
@@ -517,7 +529,7 @@ class PermGroup:
         ``g``, so two such unions meet only in the identity iff the AND of
         their masks is 1.
         """
-        return self._power_masks[self._class_of[self.index_of(g)]]
+        return self._element_masks[self.index_of(g)]
 
     def _reach(self, arrays: Sequence[array], stop: int) -> int:
         """Size of the identity's orbit under the index maps ``arrays``,
@@ -554,8 +566,8 @@ class PermGroup:
         """
         if not self.is_abelian:
             return self.generates((a, b))
-        masks, class_of = self._power_masks, self._class_of
-        ma, mb = masks[class_of[self.index_of(a)]], masks[class_of[self.index_of(b)]]
+        masks = self._element_masks
+        ma, mb = masks[self.index_of(a)], masks[self.index_of(b)]
         return ma.bit_count() * mb.bit_count() == self.order * (ma & mb).bit_count()
 
     def normal_closure_size(self, g: Permutation) -> int:
@@ -673,7 +685,7 @@ class PermGroup:
         table, class_of = self._table, self._class_of
         gens = [self._index[g] for g in self.generators]
         kind = list(zip(self._class_orders, self._class_sizes))
-        order_of = [self._class_orders[ci] for ci in class_of]
+        order_of = self._element_orders
         candidates = [
             [t for t, ci in enumerate(class_of) if kind[ci] == kind[class_of[g]]]
             for g in gens
@@ -725,9 +737,8 @@ class GroupMap:
     which checks it against every product of an element and a generator;
     at construction an assignment that does not extend to a homomorphism
     raises ``ValueError``.  The maps :meth:`PermGroup.automorphisms` lists
-    are known to extend and are built unchecked (``_check=False``, as in
-    :class:`~surfmoduli.triangles.SphericalTriple`): each fills its image
-    entries on first use.
+    are known to extend and are built unchecked (``_check=False``): each
+    fills its image entries on first use.
     """
 
     def __init__(

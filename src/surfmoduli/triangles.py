@@ -12,6 +12,9 @@ triple is the set of group elements fixing some point of the cover: the
 union over the group of all conjugates of all powers of a, b and c, which
 is a union of full conjugacy classes.  Two triples are equivalent when an
 automorphism of G, inner for marked equivalence, carries one to the other.
+A triple holds the element indices of its entries, so enumeration,
+equivalence and the Beauville searches read it on the group's index arrays
+(see :mod:`surfmoduli.groups`); its entries are read as permutations at I/O.
 """
 
 from __future__ import annotations
@@ -49,68 +52,69 @@ class SphericalTriple:
     """An ordered generating triple ``(a, b, c)`` with ``a b c = 1``.
 
     The three branch points are ordered; permuting the entries gives a
-    different triple.  Instances are immutable; their entries are the
-    group's own element objects.
+    different triple.  Instances are immutable.  A triple holds the element
+    indices ``ia, ib, ic`` of its entries in ``group.elements``, and
+    ``a, b, c`` are the group's own element objects at those indices.
     """
 
-    __slots__ = ("group", "a", "b", "c")
+    __slots__ = ("group", "ia", "ib", "ic")
 
-    def __init__(
-        self,
-        group: PermGroup,
-        a: Permutation,
-        b: Permutation,
-        c: Permutation,
-        _check: bool = True,
-    ):
-        if _check:
-            a, b, c = (group.elements[group.index_of(g)] for g in (a, b, c))
-            if not (a * b * c).is_identity():
-                raise ValueError("a * b * c is not the identity")
-            if not group.generates([a, b]):
-                raise ValueError("the pair (a, b) does not generate the group")
+    def __init__(self, group: PermGroup, a: Permutation, b: Permutation, c: Permutation):
         self.group = group
-        self.a = a
-        self.b = b
-        self.c = c
+        self.ia, self.ib, self.ic = map(group.index_of, (a, b, c))
+        if not (a * b * c).is_identity():
+            raise ValueError("a * b * c is not the identity")
+        if not group.generates([a, b]):
+            raise ValueError("the pair (a, b) does not generate the group")
+
+    @classmethod
+    def _of(cls, group: PermGroup, ia: int, ib: int, ic: int) -> "SphericalTriple":
+        """The triple at element indices known to form a generating triple."""
+        t = cls.__new__(cls)
+        t.group, t.ia, t.ib, t.ic = group, ia, ib, ic
+        return t
+
+    a = property(lambda self: self.group.elements[self.ia])
+    b = property(lambda self: self.group.elements[self.ib])
+    c = property(lambda self: self.group.elements[self.ic])
+
+    def _orders(self) -> list[int]:
+        """The element orders of the three entries, in entry order."""
+        orders = self.group._element_orders
+        return [orders[self.ia], orders[self.ib], orders[self.ic]]
 
     @property
     def triple_type(self) -> TripleType:
-        return TripleType(
-            self.group.element_order(self.a),
-            self.group.element_order(self.b),
-            self.group.element_order(self.c),
-        )
+        return TripleType(*self._orders())
 
     def conjugated_by(self, h: Permutation) -> "SphericalTriple":
         """The triple ``h t h^-1``; ``ValueError`` if an entry leaves the group."""
-        G, entries = self.group, (self.a, self.b, self.c)
-        a, b, c = (G.elements[G.index_of(x.conjugated_by(h))] for x in entries)
-        return SphericalTriple(G, a, b, c, _check=False)
+        G = self.group
+        return SphericalTriple._of(
+            G, *(G.index_of(x.conjugated_by(h)) for x in (self.a, self.b, self.c))
+        )
 
     def key(self) -> tuple:
         """Deterministic sort and identity key (the three image tuples)."""
-        return (self.a.images, self.b.images, self.c.images)
+        elements = self.group.elements
+        return (elements[self.ia].images, elements[self.ib].images, elements[self.ic].images)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SphericalTriple)
             and self.group is other.group
-            and self.a == other.a
-            and self.b == other.b
-            and self.c == other.c
+            and (self.ia, self.ib, self.ic) == (other.ia, other.ib, other.ic)
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.group), self.a, self.b, self.c))
+        return hash((id(self.group), self.ia, self.ib, self.ic))
 
     def __repr__(self) -> str:
         return f"SphericalTriple({self.a!r}, {self.b!r}, {self.c!r})"
 
     def as_dict(self) -> dict:
         """JSON-ready form: group reference, images, type, genus."""
-        G = self.group
-        orders = [G.element_order(x) for x in (self.a, self.b, self.c)]
+        G, orders = self.group, self._orders()
         return {
             "group": G.name or f"degree{G.degree}",
             "a": list(self.a.images),
@@ -128,8 +132,7 @@ def genus(triple: SphericalTriple) -> int:
     of the genus count is an integer; a parity or sign violation raises
     :class:`NonIntegralGenus` (impossible for a valid triple).
     """
-    G = triple.group
-    return _genus(G.order, [G.element_order(x) for x in (triple.a, triple.b, triple.c)])
+    return _genus(triple.group.order, triple._orders())
 
 
 def _genus(n: int, orders) -> int:
@@ -144,7 +147,7 @@ def _genus(n: int, orders) -> int:
 
 def is_hyperbolic(triple: SphericalTriple) -> bool:
     """True iff the associated curve has genus at least 2."""
-    return genus(triple) >= 2
+    return _hyperbolic_orders(*triple._orders())
 
 
 def sigma_set(triple: SphericalTriple) -> frozenset[Permutation]:
@@ -154,12 +157,8 @@ def sigma_set(triple: SphericalTriple) -> frozenset[Permutation]:
     a, b and c; it always contains the identity and is closed under
     conjugation and inversion.
     """
-    mask = sigma_class_indices(triple)
-    out: set[Permutation] = set()
-    for ci, cls in enumerate(triple.group.conjugacy_classes()):
-        if mask >> ci & 1:
-            out.update(cls.elements)
-    return frozenset(out)
+    G, mask = triple.group, sigma_class_indices(triple)
+    return frozenset(g for g, ci in zip(G.elements, G._class_of) if mask >> ci & 1)
 
 
 def sigma_class_indices(triple: SphericalTriple) -> int:
@@ -249,11 +248,10 @@ def enumerate_triples(
     first and second entries.
 
     The search runs on element indices: types and hyperbolicity come from
-    the per-class orders, and each output triple is built once, from
-    ``G.elements``, after its first entry's block is sorted.
+    the per-element orders, and each output triple is built once, from
+    the indices of its first entry's block, after the block is sorted.
     """
-    elements = G.elements
-    orders = [G._class_orders[ci] for ci in G._class_of]
+    elements, orders = G.elements, G._element_orders
     table = G._table
     inv, conjugators = table.inverse, table.conjugators
     full: list[SphericalTriple] = []
@@ -292,11 +290,7 @@ def enumerate_triples(
             if a != ir:  # r's block is sorted by b already
                 by_b = sorted(range(len(seconds)), key=seconds.__getitem__)
                 seconds, thirds = map(seconds.__getitem__, by_b), map(thirds.__getitem__, by_b)
-            x = elements[a]
-            full += [
-                SphericalTriple(G, x, elements[b], elements[c], False)
-                for b, c in zip(seconds, thirds)
-            ]
+            full += [SphericalTriple._of(G, a, b, c) for b, c in zip(seconds, thirds)]
     return full
 
 
@@ -320,26 +314,25 @@ def triples_equivalent(
         raise GroupMismatch("triples live on different groups")
     if mode not in ("marked", "unmarked"):
         raise ValueError(f"unknown mode {mode!r}")
-    G, index = t1.group, t1.group._index
-    kinds = [G._class_of[index[x]] for x in (t1.a, t1.b, t1.c, t2.a, t2.b, t2.c)]
+    G = t1.group
+    kinds = [G._class_of[x] for x in (t1.ia, t1.ib, t1.ic, t2.ia, t2.ib, t2.ic)]
     if mode == "unmarked":
         kinds = [(G._class_orders[ci], G._class_sizes[ci]) for ci in kinds]
     if kinds[:3] != kinds[3:]:
         return False
-    image = G._extend((index[t1.a], index[t1.b]), G, (index[t2.a], index[t2.b]))
+    image = G._extend((t1.ia, t1.ib), G, (t2.ia, t2.ib))
     if image is None:
         return False
-    return mode == "unmarked" or tuple(image[index[g]] for g in G.generators) in G._inner
+    return mode == "unmarked" or tuple(image[G._index[g]] for g in G.generators) in G._inner
 
 
-def _branch_reorderings(t: SphericalTriple) -> list[tuple[Permutation, Permutation, Permutation]]:
+def _branch_reorderings(t: SphericalTriple) -> list[tuple[int, int, int]]:
     """The entries of the six reorderings of t's branch points: the three
     rotations of ``(a, b, c)`` and their reversals
-    ``(x, y, z) -> (z^-1, y^-1, x^-1)``, as the group's own elements, the
-    inverses read off the product table."""
-    G, a, b, c = t.group, t.a, t.b, t.c
-    elements, index, inv = G.elements, G._index, G._table.inverse
-    ai, bi, ci = (elements[inv[index[x]]] for x in (a, b, c))
+    ``(x, y, z) -> (z^-1, y^-1, x^-1)``, as element indices, the inverses
+    read off the product table."""
+    a, b, c, inv = t.ia, t.ib, t.ic, t.group._table.inverse
+    ai, bi, ci = inv[a], inv[b], inv[c]
     return [(a, b, c), (b, c, a), (c, a, b), (ci, bi, ai), (ai, ci, bi), (bi, ai, ci)]
 
 
@@ -351,6 +344,5 @@ def branch_permutation_orbit(t: SphericalTriple) -> list[SphericalTriple]:
     product-one and generation conditions; coinciding triples are listed
     once, in key order.
     """
-    orbit = {u.key(): u for u in (SphericalTriple(t.group, *x, _check=False)
-                                  for x in _branch_reorderings(t))}
-    return sorted(orbit.values(), key=SphericalTriple.key)
+    orbit = (SphericalTriple._of(t.group, *x) for x in set(_branch_reorderings(t)))
+    return sorted(orbit, key=SphericalTriple.key)

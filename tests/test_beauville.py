@@ -157,6 +157,20 @@ class TestSearch:
         for s in results[:50]:
             assert is_beauville_pair(s.t1, s.t2)
 
+    @pytest.mark.parametrize("name", ["S5", "PSL2_7", "EA5x5"])
+    def test_search_multiplies_no_permutation(self, name, monkeypatch):
+        # both listings run on element indices, and the first structure is
+        # conjugated into canonical form by its least conjugator's array
+        G = catalog.builtin(name)
+
+        def refuse(*_):
+            raise AssertionError("the search multiplied or conjugated permutations")
+
+        monkeypatch.setattr(Permutation, "__mul__", refuse)
+        monkeypatch.setattr(Permutation, "conjugated_by", refuse)
+        assert len(search(G, stop_at_first=True)) == 1
+        assert len(search(G)) == count_structures(G)
+
     def test_psl27_first_structure(self):
         G = catalog.psl2(7)
         results = search(G, stop_at_first=True)
@@ -191,7 +205,7 @@ class TestSearch:
         triples = enumerate_triples(G)
         assert triples
         for t1 in triples:
-            h = _least_conjugator(t1)
+            h = G.elements[_least_conjugator(t1)]
             for t2 in triples:
                 key = t1.conjugated_by(h).key() + t2.conjugated_by(h).key()
                 assert key == naive_canonical_pair(
@@ -204,7 +218,7 @@ class TestSearch:
         transversal = [G.elements[h] for h in G._inner.values()]
         for t in enumerate_triples(G)[:: max(1, G.order // 24)]:
             least = min(transversal, key=lambda h: t.conjugated_by(h).key()[:2])
-            assert _least_conjugator(t) is least, (name, t)
+            assert G.elements[_least_conjugator(t)] is least, (name, t)
 
     @pytest.mark.parametrize("name", ["A6", "PSL2_7"])
     def test_first_structure_builds_conjugation_arrays_for_centralisers_only(self, name):

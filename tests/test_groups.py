@@ -143,7 +143,7 @@ class TestClassMasks:
         G = catalog.builtin("A6")
         facts = ("_class_of", "_power_masks", "_classes", "_inner", "_automorphisms",
                  "_class_reps", "_class_orders", "_class_sizes", "_power_walks",
-                 "_rational_leaders")
+                 "_rational_leaders", "_element_orders", "_element_masks")
         for fact in facts:
             assert fact not in G.__dict__, fact
         # the closure hands over only the Cayley graph: the generator columns

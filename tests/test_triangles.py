@@ -37,8 +37,15 @@ class TestConstruction:
     def test_validates_product(self, small_catalog):
         G = small_catalog["S3"]
         a = Permutation.from_cycles(3, [1, 2])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^a \* b \* c is not the identity$"):
             SphericalTriple(G, a, a, a)
+
+    def test_validates_membership(self, small_catalog):
+        G = small_catalog["A4"]
+        a = Permutation.from_cycles(4, [1, 2])  # odd, so not in A4
+        b = Permutation.from_cycles(4, [1, 2, 3])
+        with pytest.raises(ValueError, match=r"^\(1 2\) is not an element of <A4: degree 4"):
+            SphericalTriple(G, b, a, (b * a).inverse())
 
     def test_branching_orders_must_be_positive(self):
         with pytest.raises(ValueError, match="branching orders must be positive"):
@@ -49,7 +56,7 @@ class TestConstruction:
         a = Permutation.from_cycles(4, [1, 2], [3, 4])
         b = Permutation.from_cycles(4, [1, 3], [2, 4])
         c = (a * b).inverse()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^the pair \(a, b\) does not generate the group$"):
             SphericalTriple(G, a, b, c)
 
 
@@ -440,6 +447,21 @@ class TestOneObjectPerElement:
                 copy = GroupMap(G, G, [Permutation(x.images) for x in phi.images])
                 self.assert_own(G, *phi.images, *copy.images)
                 self.assert_own(G, *(copy(g) for g in G.elements))
+
+    @pytest.mark.parametrize("name", ["S4", "A5", "C3xS3", "PSL2_7"])
+    def test_checked_copy_equals_the_enumerated_triple(self, name):
+        # a triple holds element indices: the checked constructor maps
+        # copies of the entries back to the same indices and the same objects
+        G = catalog.builtin(name)
+        triples = enumerate_triples(G)
+        if name == "PSL2_7":
+            triples = random.Random(name).sample(triples, 300)
+        for t in triples:
+            u = SphericalTriple(G, *(Permutation(x.images) for x in (t.a, t.b, t.c)))
+            assert u == t and hash(u) == hash(t)
+            assert u.key() == t.key() and u.as_dict() == t.as_dict()
+            self.assert_own(G, u.a, u.b, u.c)
+            assert is_hyperbolic(u) == (genus(u) >= 2)
 
     def test_generation_tests_share_one_cayley_graph_and_table(self):
         G = catalog.builtin("A6")
