@@ -24,6 +24,7 @@ with q = 0 and pg = chi - 1 because both quotient curves are rational.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import compress
@@ -61,11 +62,18 @@ class BeauvilleStructure:
 
     __slots__ = ("t1", "t2")
 
-    def __init__(self, t1: SphericalTriple, t2: SphericalTriple, _check=True):
-        if _check and not is_beauville_pair(t1, t2):
+    def __init__(self, t1: SphericalTriple, t2: SphericalTriple):
+        if not is_beauville_pair(t1, t2):
             raise ValueError("the two triples do not form a Beauville structure")
         self.t1 = t1
         self.t2 = t2
+
+    @classmethod
+    def _of(cls, t1: SphericalTriple, t2: SphericalTriple) -> "BeauvilleStructure":
+        """The structure on triples known to form a Beauville pair."""
+        s = cls.__new__(cls)
+        s.t1, s.t2 = t1, t2
+        return s
 
     @property
     def group(self) -> PermGroup:
@@ -153,33 +161,56 @@ def search(G: PermGroup, stop_at_first: bool = False) -> list[BeauvilleStructure
     Each hyperbolic triple's stabilizer set is read as its class support,
     an int bitmask with bit 0 the identity class.  Whether two triples can
     pair depends only on their supports (they must share only the identity
-    class: ``s1 & s2 == 1``).  The first triple t1 runs over triples whose
-    leading entry is a class representative, which meets every orbit of
-    simultaneous conjugation, and every triple is conjugate to one of
-    them, so their supports are all the supports there are.  Inn(G) acts
-    freely, so the orbit's canonical form (its least pair) is the one pair
-    whose t1 is least: the listing keeps the pairs whose t1 is least, with
-    each support's partners gathered once.  The listing sorts the
-    hyperbolic triples by key once, so the t1 and each partner list come
-    in key order; a pair's key is t1's key then t2's, and the kept t1 are
-    distinct, so the pairs come out in key order with no sort of the
-    structures.  The first structure keeps enumeration order: it pairs the
-    first t1 that has a partner with its first partner, so only the
-    supports up to that partner are read, and conjugates the pair into
-    canonical form by the array the least conjugator has filled.
+    class: ``s1 & s2 == 1``).  The first triple t1 runs over the triples
+    *led* by a class representative (first entry a representative), which
+    meet every orbit of simultaneous conjugation, and every triple is
+    conjugate to one of them, so their supports are all the supports there
+    are.  Inn(G) acts freely, so the orbit's canonical form (its least
+    pair) is the one pair whose t1 is least: the listing keeps the pairs
+    whose t1 is least, with each support's partners gathered once.  The
+    listing sorts the hyperbolic triples by key once, so the t1 and each
+    partner list come in key order; a pair's key is t1's key then t2's,
+    and the kept t1 are distinct, so the pairs come out in key order with
+    no sort of the structures.
+
+    The first structure keeps enumeration order: it pairs the first t1
+    that has a partner with its first partner in the enumeration, and
+    conjugates the pair into canonical form by the array the least
+    conjugator has filled.  It reads both off the order of
+    :func:`enumerate_triples` (class of a, index of a, index of b) by
+    bisection.  Each representative's triples are one run of that order,
+    so the led triples are one bisection pair per class.  The first led
+    triple that fits t1 names the partner's class: no earlier class holds
+    a fitting triple, since each of its triples is conjugate to one of its
+    representative's.  The first block of that class's run (first entry
+    the class's least element index) is a conjugate of the
+    representative's block, as long and with the same supports, so it
+    holds the partner.  Supports are read for the led triples and that
+    block alone.
     """
     second = enumerate_triples(G, hyperbolic_only=True)
-    if not stop_at_first:
+    class_of = G._class_of
+    if stop_at_first:
+        led_by = lambda t: (class_of[t.ia], t.ia)
+        runs = [
+            (bisect_left(second, (ci, r), key=led_by), bisect_right(second, (ci, r), key=led_by))
+            for ci, r in enumerate(G._class_reps)
+        ]
+        led = []
+        for lo, hi in runs:
+            led += second[lo:hi]
+    else:
         second.sort(key=SphericalTriple.key)
-    reps = set(G._class_reps)
-    led = list(compress(second, map(reps.__contains__, map(attrgetter("ia"), second))))
-    realized = set(_supports(G, led))
-    # the listing reads every support, the first structure those up to its partner
-    supports = _supports(G, second) if stop_at_first else list(_supports(G, second))
+        reps = set(G._class_reps)
+        led = list(compress(second, map(reps.__contains__, map(attrgetter("ia"), second))))
+        supports = list(_supports(G, second))
+    led_supports = list(_supports(G, led))
+    realized = set(led_supports)
 
     fits_of = {sig1: {sig2: sig1 & sig2 == 1 for sig2 in realized} for sig1 in realized}
 
-    structures = []
+    structures: list[BeauvilleStructure] = []
+    new, append = BeauvilleStructure.__new__, structures.append
     partners: dict[int, list[SphericalTriple]] = {}
     for t1 in led:
         sig1 = sigma_class_indices(t1)
@@ -188,14 +219,22 @@ def search(G: PermGroup, stop_at_first: bool = False) -> list[BeauvilleStructure
             continue
         h = _least_conjugator(t1)
         if stop_at_first:
-            t2 = next(compress(second, map(fits.__getitem__, supports)))
+            ci = class_of[next(compress(led, map(fits.__getitem__, led_supports))).ia]
+            lo, hi = runs[ci]
+            start = bisect_left(second, ci, key=lambda t: class_of[t.ia])
+            block = second[start:start + hi - lo]
+            t2 = next(compress(block, map(fits.__getitem__, _supports(G, block))))
             conj = G._table.conjugation(h)
             t1, t2 = (SphericalTriple._of(G, conj[t.ia], conj[t.ib], conj[t.ic]) for t in (t1, t2))
-            return [BeauvilleStructure(t1, t2, _check=False)]
+            return [BeauvilleStructure._of(t1, t2)]
         if h == 0:  # the identity
             if sig1 not in partners:
                 partners[sig1] = list(compress(second, map(fits.__getitem__, supports)))
-            structures += [BeauvilleStructure(t1, t2, _check=False) for t2 in partners[sig1]]
+            for t2 in partners[sig1]:  # as BeauvilleStructure._of, without its call
+                s = new(BeauvilleStructure)
+                s.t1 = t1
+                s.t2 = t2
+                append(s)
     return structures
 
 

@@ -243,18 +243,25 @@ def enumerate_triples(
     class of r is then walked breadth-first along conjugation by each
     generator s (``_ProductTable.conjugators``): a new first entry
     s^-1 a s takes the block of a conjugated by s^-1, both entry lists
-    mapped in one C-level pass.  The output order is deterministic: by
-    conjugacy class of the first entry, then by element index of the
-    first and second entries.
+    mapped in one C-level pass.
+
+    The output order is a contract: by conjugacy class of the first entry,
+    then by element index of the first and second entries, so the keys
+    ``(class of a, index of a, index of b)`` strictly increase.  Each first
+    entry's block, and each class's triples, are one run of the list, and
+    :func:`surfmoduli.beauville.search` finds its first structure by
+    bisection on that order.
 
     The search runs on element indices: types and hyperbolicity come from
-    the per-element orders, and each output triple is built once, from
-    the indices of its first entry's block, after the block is sorted.
+    the per-element orders, and each output triple is built once, in
+    place, from the indices of its first entry's block, after the block
+    is sorted.
     """
     elements, orders = G.elements, G._element_orders
     table = G._table
     inv, conjugators = table.inverse, table.conjugators
     full: list[SphericalTriple] = []
+    new, append = SphericalTriple.__new__, full.append
     for ir, candidates in groupby(_orbit_candidates(G), key=itemgetter(0)):
         kept: list[int] = []
         for _, ib, ic, centraliser in candidates:
@@ -290,7 +297,13 @@ def enumerate_triples(
             if a != ir:  # r's block is sorted by b already
                 by_b = sorted(range(len(seconds)), key=seconds.__getitem__)
                 seconds, thirds = map(seconds.__getitem__, by_b), map(thirds.__getitem__, by_b)
-            full += [SphericalTriple._of(G, a, b, c) for b, c in zip(seconds, thirds)]
+            for b, c in zip(seconds, thirds):  # as SphericalTriple._of, without its call
+                t = new(SphericalTriple)
+                t.group = G
+                t.ia = a
+                t.ib = b
+                t.ic = c
+                append(t)
     return full
 
 

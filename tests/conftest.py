@@ -1,15 +1,18 @@
 """Shared brute-force oracles, deliberately independent of the library's
 optimized code paths: plain worklist closures, raw double loops, and
 element-level stabilizer sets computed by conjugating over the whole group.
+Also two groups built by hand, which the Beauville and triangle tests share.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
-from surfmoduli.groups import Permutation
+from surfmoduli import catalog
+from surfmoduli.groups import Permutation, close
 
 
 def naive_mulclose(perms):
@@ -137,10 +140,30 @@ def naive_canonical_pair(G, t1, t2):
     )
 
 
+def verdict_relabelled_a6():
+    """A6 on points relabelled as the benchmark's verdict plan draws them
+    for seed 7: one shuffle per verdict group, A6's coming fifth."""
+    rng = random.Random("verdict:7")
+    for degree in (4, 5, 5, 8, 6):
+        labels = list(range(1, degree + 1))
+        rng.shuffle(labels)
+    pi = Permutation(labels)
+    return close([g.conjugated_by(pi) for g in catalog.alternating(6).generators], name="A6")
+
+
+def heisenberg_mod5():
+    """The Heisenberg group mod 5 on the 25 points (a, b): x moves
+    (a, b) to (a + 1, b) and y moves it to (a, b + a).  Its centre has
+    order 5, so [G:Z(G)] = 25 is neither 1 nor |G| = 125."""
+    points = [(a, b) for a in range(5) for b in range(5)]
+    label = {p: i + 1 for i, p in enumerate(points)}
+    x = Permutation(label[(a + 1) % 5, b] for a, b in points)
+    y = Permutation(label[a, (b + a) % 5] for a, b in points)
+    return close([x, y], name="Heis5")
+
+
 @pytest.fixture(scope="session")
 def small_catalog():
-    from surfmoduli import catalog
-
     return {
         "C2": catalog.cyclic(2),
         "C3": catalog.cyclic(3),
@@ -165,8 +188,6 @@ def no_large_closure(monkeypatch):
     """Make a builtin that would close a group of degree above 1000 fail at
     once: such a closure holds order x degree entries, and a builtin that
     misses its order check would exhaust memory instead of failing."""
-    from surfmoduli import catalog
-
     close = catalog.close
 
     def guarded(generators, name=None):

@@ -4,9 +4,16 @@ import random
 from collections import Counter
 
 import pytest
-from conftest import naive_canonical_pair, naive_genus, naive_sigma, naive_triples
+from conftest import (
+    heisenberg_mod5,
+    naive_canonical_pair,
+    naive_genus,
+    naive_sigma,
+    naive_triples,
+    verdict_relabelled_a6,
+)
 
-from surfmoduli import catalog
+from surfmoduli import beauville, catalog
 from surfmoduli.beauville import (
     BeauvilleStructure,
     _least_conjugator,
@@ -21,7 +28,7 @@ from surfmoduli.beauville import (
     structure_invariants,
 )
 from surfmoduli.errors import GroupMismatch, NonIntegralChi, NonIntegralGenus
-from surfmoduli.groups import PermGroup, Permutation, close
+from surfmoduli.groups import PermGroup, Permutation
 from surfmoduli.triangles import (
     SphericalTriple,
     _genus,
@@ -31,17 +38,6 @@ from surfmoduli.triangles import (
     is_hyperbolic,
     sigma_class_indices,
 )
-
-
-def verdict_relabelled_a6():
-    """A6 on points relabelled as the benchmark's verdict plan draws them
-    for seed 7: one shuffle per verdict group, A6's coming fifth."""
-    rng = random.Random("verdict:7")
-    for degree in (4, 5, 5, 8, 6):
-        labels = list(range(1, degree + 1))
-        rng.shuffle(labels)
-    pi = Permutation(labels)
-    return close([g.conjugated_by(pi) for g in catalog.alternating(6).generators], name="A6")
 
 
 def quadruple_loop_structures(G):
@@ -59,17 +55,6 @@ def quadruple_loop_structures(G):
             if sigmas[t1] & sigmas[t2] == {G.identity}:
                 out.add(naive_canonical_pair(G, t1, t2))
     return out
-
-
-def heisenberg_mod5():
-    """The Heisenberg group mod 5 on the 25 points (a, b): x moves
-    (a, b) to (a + 1, b) and y moves it to (a, b + a).  Its centre has
-    order 5, so [G:Z(G)] = 25 is neither 1 nor |G| = 125."""
-    points = [(a, b) for a in range(5) for b in range(5)]
-    label = {p: i + 1 for i, p in enumerate(points)}
-    x = Permutation(label[(a + 1) % 5, b] for a, b in points)
-    y = Permutation(label[a, (b + a) % 5] for a, b in points)
-    return close([x, y], name="Heis5")
 
 
 class TestIsBeauvillePair:
@@ -268,13 +253,20 @@ class TestSearch:
     def test_first_structure_is_the_first_admissible_pair(self, small_catalog):
         # stop_at_first returns the canonical form of the first admissible
         # pair in enumeration order: t1 the first hyperbolic triple led by a
-        # class representative that has a partner, t2 its first partner
+        # class representative that has a partner, t2 its first partner.
+        # In every group here the partner's first entry lies outside the
+        # class that leads the enumeration, and in S5 t1's does too.  Heis5
+        # has a proper centre; in S5, PSL2_7, S6 and the relabelled A6 and
+        # Heis5 the partner's first entry is not its class representative
         for G in (
             small_catalog["EA5x5"],
             catalog.symmetric(5),
             catalog.psl2(7),
             catalog.alternating(6),
             verdict_relabelled_a6(),
+            heisenberg_mod5(),
+            catalog.builtin("EA7x7"),
+            catalog.symmetric(6),
         ):
             triples = enumerate_triples(G, hyperbolic_only=True)
             sigs = [sigma_class_indices(t) for t in triples]
@@ -286,10 +278,49 @@ class TestSearch:
                 if t1.a in reps and any(sig1 & sig2 == 1 for sig2 in realized)
             )
             t2 = next(t2 for t2, sig2 in zip(triples, sigs) if sig1 & sig2 == 1)
+            first_class = G._class_of[triples[0].ia]
+            assert G._class_of[t2.ia] != first_class, G
+            assert (G._class_of[t1.ia] != first_class) == (G.name == "S5"), G
             expected = naive_canonical_pair(
                 G, (t1.a, t1.b, t1.c), (t2.a, t2.b, t2.c)
             )
             assert search(G, stop_at_first=True)[0].key() == expected, G
+
+    @pytest.mark.parametrize("name", ["PSL2_7", "A6"])
+    def test_first_structure_reads_the_led_triples_and_one_block(self, name, monkeypatch):
+        # the led triples and the partner's block are runs of the
+        # enumeration order, found by bisection, so supports are read for
+        # those alone and not along the whole hyperbolic listing
+        G = catalog.builtin(name)
+        triples = enumerate_triples(G, hyperbolic_only=True)
+        reps = set(G._class_reps)
+        led = sum(t.ia in reps for t in triples)
+        block = max(Counter(t.ia for t in triples).values())
+        read = []
+        supports = beauville._supports
+        monkeypatch.setattr(
+            beauville, "_supports", lambda group, ts: read.append(len(ts)) or supports(group, ts)
+        )
+        assert search(G, stop_at_first=True)
+        assert 0 < sum(read) <= led + block < len(triples), (read, led, block)
+
+    @pytest.mark.parametrize("name", ["EA5x5", "S5", "PSL2_7"])
+    def test_structures_built_in_place_equal_checked_ones(self, name):
+        # the listing and the first structure skip the constructor's check;
+        # each equals the structure the checked constructor builds on its
+        # triples.  as_dict renders a structure in full, so on PSL2_7
+        # (38 976 structures) it is compared on a seeded sample
+        G = catalog.builtin(name)
+        listed = search(G) + search(G, stop_at_first=True)
+        checked = [BeauvilleStructure(s.t1, s.t2) for s in listed]
+        assert listed == checked
+        assert list(map(hash, listed)) == list(map(hash, checked))
+        assert [s.key() for s in listed] == [u.key() for u in checked]
+        pairs = list(zip(listed, checked))
+        if len(pairs) > 2000:
+            pairs = random.Random(name).sample(pairs[:-1], 2000) + pairs[-1:]
+        for s, u in pairs:
+            assert s.as_dict() == u.as_dict()
 
     def test_deterministic(self, small_catalog):
         G = small_catalog["EA5x5"]

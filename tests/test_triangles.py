@@ -6,7 +6,13 @@ import time
 from fractions import Fraction
 
 import pytest
-from conftest import naive_genus, naive_sigma, naive_triples
+from conftest import (
+    heisenberg_mod5,
+    naive_genus,
+    naive_sigma,
+    naive_triples,
+    verdict_relabelled_a6,
+)
 
 from surfmoduli import catalog
 from surfmoduli.beauville import search
@@ -141,6 +147,19 @@ class TestEnumeration:
             )
             got = [(t.a, t.b, t.c) for t in enumerate_triples(G)]
             assert got == oracle, name
+
+    @pytest.mark.parametrize(
+        "name", ["S5", "PSL2_7", "A6", "relabelled A6", "Heis5", "EA7x7", "C3xS3"]
+    )
+    def test_hyperbolic_listing_strictly_increases_in_the_documented_order(self, name):
+        # beauville.search bisects on this order: each class representative's
+        # triples, and each first entry's block, are one run of the listing
+        G = {"relabelled A6": verdict_relabelled_a6, "Heis5": heisenberg_mod5}.get(
+            name, lambda: catalog.builtin(name)
+        )()
+        keys = [(G._class_of[t.ia], t.ia, t.ib) for t in enumerate_triples(G, hyperbolic_only=True)]
+        assert keys
+        assert all(x < y for x, y in zip(keys, keys[1:]))
 
     def test_deterministic_order(self, small_catalog):
         G = small_catalog["S4"]
