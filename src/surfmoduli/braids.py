@@ -16,7 +16,9 @@ its permutation, and a pair is left-weighted through the greatest common
 left divisor of two of them, a merge sort of the strands in O(n log n)
 steps.  A word is brought to this form letter by letter and two forms
 multiply by one right-to-left pass per factor, at polynomial cost; no
-table over the n! permutation braids is ever built.
+table over the n! permutation braids is ever built.  The factors are held
+up to conjugation by Delta, so a Delta that a pass frees at the right end
+joins the Delta power in O(1) instead of passing every factor.
 
 The tuple of the factors' normal forms is also the canonical form used to
 hash factorizations during orbit enumeration, since factorwise braid
@@ -47,6 +49,7 @@ from .errors import (
 
 WORD_CAP = 10_000
 STRAND_CAP = 1_000_000
+NODE_PAIR_CAP = 10_000
 
 
 class BraidWord:
@@ -132,10 +135,19 @@ class BraidWord:
 NormalForm = tuple[int, tuple[tuple[int, ...], ...]]
 
 # Left-weighted pairs of simple factors, for every strand count at once (a
-# factor's length is its strand count).  Cleared when it would hold about
-# this many permutation entries, so it stays a few MiB at any strand count.
+# factor's length is its strand count); (p, Delta) -> (Delta, tau(p)) among
+# them is also how tau is memoised.  Cleared when it would hold about this
+# many permutation entries, so it stays a few MiB at any strand count.
 _WEIGHTED: dict[tuple[tuple, tuple], tuple[tuple, tuple]] = {}
 _WEIGHTED_ENTRIES = 1 << 18
+
+
+def _remember(pair: tuple[tuple, tuple], weighted: tuple[tuple, tuple]) -> tuple[tuple, tuple]:
+    """Store the left-weighting of ``pair`` in ``_WEIGHTED`` and return it."""
+    if len(_WEIGHTED) * len(pair[0]) >= _WEIGHTED_ENTRIES:
+        _WEIGHTED.clear()
+    _WEIGHTED[pair] = weighted
+    return weighted
 
 
 def _perm_inverse(p: Sequence[int]) -> list[int]:
@@ -202,9 +214,13 @@ class _LeftNormalForms:
         self.delta = self.identity[::-1]
 
     def _tau(self, p: tuple) -> tuple:
-        """Delta^-1 p Delta, which maps s_i to s_{n-i}."""
-        top = self.n - 1
-        return tuple([top - x for x in reversed(p)])
+        """Delta^-1 p Delta, which maps s_i to s_{n-i}.  The pair (p, Delta)
+        left-weights to (Delta, tau(p)), so tau is memoised among them."""
+        out = _WEIGHTED.get((p, self.delta))
+        if out is None:
+            top = self.n - 1
+            out = _remember((p, self.delta), (self.delta, tuple([top - x for x in reversed(p)])))
+        return out[1]
 
     @staticmethod
     def _complement(p: tuple) -> tuple:
@@ -265,24 +281,24 @@ class _LeftNormalForms:
         top = self.n - 1
         g = self._meet([top - v for v in x], _perm_inverse(y))
         g_inv = _perm_inverse(g)
-        out = (tuple(map(x.__getitem__, g)), tuple(map(g_inv.__getitem__, y)))
-        if len(_WEIGHTED) * self.n >= _WEIGHTED_ENTRIES:
-            _WEIGHTED.clear()
-        _WEIGHTED[(x, y)] = out
-        return out
+        return _remember((x, y), (tuple(map(x.__getitem__, g)), tuple(map(g_inv.__getitem__, y))))
 
-    def _append(self, k: int, factors: list, y: tuple) -> int:
-        """Multiply Delta^k factors on the right by the simple ``y`` in
-        place and return the new power of Delta.
+    def _append(self, k: int, odd: bool, factors: list, y: tuple) -> tuple[int, bool]:
+        """Multiply Delta^k tau^odd(factors) on the right by tau^odd(y), in
+        place, and return the new power of Delta and parity of tau.
 
-        One right-to-left pass of left-weighting restores the normal form;
-        it stops at the first pair whose left factor does not change.
+        Left-weighting commutes with tau, so the factors are held in the
+        frame of tau^odd and y is given in it.  One right-to-left pass of
+        left-weighting restores the normal form; it stops at the first
+        pair whose left factor does not change.  A pair that left-weights
+        to (Delta, z) ends it: P Delta S is Delta tau(P) S, or
+        Delta tau(P tau(S)) with the parity toggled, whichever of P and S
+        is shorter gets tau, so a cancellation at the right end costs O(1).
         """
         if y == self.identity:
-            return k
+            return k, odd
         if y == self.delta:
-            factors[:] = map(self._tau, factors)
-            return k + 1
+            return k + 1, not odd
         factors.append(y)
         j = len(factors) - 1
         while j > 0:
@@ -290,44 +306,51 @@ class _LeftNormalForms:
             x2, y2 = self._weight(x, factors[j])
             if x2 == x:
                 break
+            if x2 == self.delta:
+                factors[j - 1 : j + 1] = (y2,)
+                if 2 * (j - 1) <= len(factors):
+                    factors[: j - 1] = map(self._tau, factors[: j - 1])
+                else:
+                    factors[j - 1 :] = map(self._tau, factors[j - 1 :])
+                    odd = not odd
+                k += 1
+                break
             factors[j - 1], factors[j] = x2, y2
             j -= 1
         while factors and factors[-1] == self.identity:
             factors.pop()
-        d = 0
-        while d < len(factors) and factors[d] == self.delta:
-            d += 1
-        del factors[:d]
-        return k + d
+        return k, odd
+
+    def _form(self, k: int, odd: bool, factors: list) -> NormalForm:
+        """The normal form Delta^k tau^odd(factors)."""
+        return (k, tuple(map(self._tau, factors)) if odd else tuple(factors))
 
     def from_letters(self, letters: Iterable[tuple[int, int]]) -> NormalForm:
         """The normal form of a word, one simple factor per letter.
 
-        s_i^-1 is Delta^-1 tau(s_i^-1 Delta), and moving every Delta^-1 to
-        the front applies tau to the factors left of it; tau(s_i) is
-        s_{n-i} and tau(s_i^-1 Delta) is s_{n-i}^-1 Delta.
+        s_i^-1 is (s_i^-1 Delta) Delta^-1, and X Delta^-1 is
+        Delta^-1 tau(X), so a negative letter appends s_i^-1 Delta and
+        toggles the frame; tau(s_i) is s_{n-i}.
         """
-        letters = tuple(letters)
         n = self.n
-        right = sum(1 for _, s in letters if s < 0)
-        k, factors = -right, []
+        k, odd, factors = 0, False, []
         for i, s in letters:
-            if s < 0:
-                right -= 1
-            j = n - i if (right % 2 == 0) == (s < 0) else i
-            y = self._letter(j)
-            k = self._append(k, factors, y if s > 0 else self._complement(y))
-        return (k, tuple(factors))
+            y = self._letter(n - i if odd else i)
+            if s > 0:
+                k, odd = self._append(k, odd, factors, y)
+            else:
+                k, odd = self._append(k, odd, factors, self._complement(y))
+                k, odd = k - 1, not odd
+        return self._form(k, odd, factors)
 
     def mul(self, a: NormalForm, b: NormalForm) -> NormalForm:
-        """Delta^k1 A Delta^k2 B = Delta^(k1+k2) tau^k2(A) B, then the
-        factors of B are appended one by one."""
+        """Delta^k1 A Delta^k2 B = Delta^(k1+k2) tau^k2(A) B: A is held in
+        the frame of tau^k2 and the factors of B are appended one by one."""
         (k1, left), (k2, right) = a, b
-        factors = list(map(self._tau, left)) if k2 % 2 else list(left)
-        k = k1 + k2
+        factors, k, odd = list(left), k1 + k2, k2 % 2 == 1
         for y in right:
-            k = self._append(k, factors, y)
-        return (k, tuple(factors))
+            k, odd = self._append(k, odd, factors, self._tau(y) if odd else y)
+        return self._form(k, odd, factors)
 
     def inv(self, a: NormalForm) -> NormalForm:
         """(Delta^k A_1 .. A_r)^-1 is Delta^(-k-r) B_r .. B_1, already in
@@ -414,6 +437,13 @@ class Factorization:
                 )
         self.strands = strands
         self.factors = factors
+
+    @classmethod
+    def _of(cls, strands: int, factors: tuple) -> "Factorization":
+        """The factorization of a tuple of words known to be on ``strands``."""
+        f = object.__new__(cls)
+        f.strands, f.factors = strands, factors
+        return f
 
     @classmethod
     def from_ints(cls, strands: int, factors: Iterable[Iterable[int]]):
@@ -595,20 +625,18 @@ class OrbitResult:
 
     __slots__ = ("factorizations", "keys", "exhausted")
 
-    def __init__(self, forms: _OrbitForms, states: Iterable[tuple], exhausted: bool):
-        ordered = sorted((tuple(forms.forms[i] for i in s), s) for s in states)
-        words: dict[int, BraidWord] = {}
-
-        def word(i: int) -> BraidWord:
-            w = words.get(i)
-            if w is None:
-                letters = forms.algebra.spell(forms.forms[i])
-                w = words[i] = BraidWord._raw(forms.strands, letters)
-            return w
-
-        self.keys = [key for key, _ in ordered]
+    def __init__(self, forms: _OrbitForms, states: set[tuple], exhausted: bool):
+        # rank the distinct forms once; tuples of ranks sort as the keys do
+        used = sorted(set(itertools.chain.from_iterable(states)), key=forms.forms.__getitem__)
+        rank = [0] * len(forms.forms)
+        for r, i in enumerate(used):
+            rank[i] = r
+        ranked = sorted(tuple(map(rank.__getitem__, s)) for s in states)
+        by_rank = list(map(forms.forms.__getitem__, used))
+        words = [BraidWord._raw(forms.strands, forms.algebra.spell(form)) for form in by_rank]
+        self.keys = [tuple(map(by_rank.__getitem__, r)) for r in ranked]
         self.factorizations = [
-            Factorization(forms.strands, [word(i) for i in s]) for _, s in ordered
+            Factorization._of(forms.strands, tuple(map(words.__getitem__, r))) for r in ranked
         ]
         self.exhausted = exhausted
 
@@ -668,9 +696,23 @@ def m_equivalence_orbit(
     outermost.  The pairs come in the order of their conjugators: the
     empty word, then the words of each length in lexicographic order.
 
+    Every state's moves scan all the pairs, so a cap that needs more than
+    ``NODE_PAIR_CAP`` of them (10000, read at call time) raises
+    :class:`BudgetExceeded` before one is built.
+
     The move set is infinite in principle, so this only ever produces a
     bounded certificate: states reachable within the budget.
     """
+    total = level = 1
+    for _ in range(conjugator_cap):
+        level *= 2 * (f.strands - 1)
+        total += level
+        if total > NODE_PAIR_CAP:
+            raise BudgetExceeded(
+                f"conjugator_cap = {conjugator_cap} on B_{f.strands} needs more than"
+                f" NODE_PAIR_CAP = {NODE_PAIR_CAP} node pairs;"
+                " set surfmoduli.braids.NODE_PAIR_CAP = N to raise it"
+            )
     forms = _OrbitForms(f.strands)
     gens = [
         forms.word(BraidWord.generator(f.strands, i, s))

@@ -31,6 +31,15 @@ from surfmoduli.errors import (
 W = BraidWord.from_ints
 F = Factorization.from_ints
 
+# the orbits of the benchmark's braids workload:
+# (strands, factors, budget, full move set)
+BENCHMARK_ORBITS = [
+    (3, [[1], [1], [2], [2]], 200, False),
+    (4, [[1], [2], [3]], 10_000, False),
+    (3, [[1], [2], [1], [2]], 10_000, False),
+    (3, [[1], [2]], 3000, True),
+]
+
 
 def random_word(rng, strands, max_len=8):
     length = rng.randint(0, max_len)
@@ -260,6 +269,29 @@ class TestArtinAction:
         # both answers occur often, and the equal pairs are not literal copies
         assert equal >= 300 and unequal >= 300
 
+    def test_delta_path_matches_the_artin_action(self):
+        # products and conjugates w v w^-1 of up to 40 mixed-sign letters
+        # free many Deltas, at the right end of a left-weighting pass and
+        # deeper in it; the forms multiplied must be the forms of the
+        # concatenations
+        rng = random.Random(4040)
+        equal = unequal = 0
+        for _ in range(200):
+            n = rng.choice((2, 3, 4, 5, 7))
+            w, v = random_word(rng, n, max_len=10), random_word(rng, n, max_len=20)
+            wv, conj = w * v, w * v * w.inverse()
+            algebra = braids._LeftNormalForms(n)
+            fw, fv = braids._normal_form(w), braids._normal_form(v)
+            assert algebra.mul(fw, fv) == braids._normal_form(wv)
+            assert algebra.mul(algebra.mul(fw, fv), algebra.inv(fw)) == braids._normal_form(conj)
+            for x, y in ((wv, v), (conj, v), (conj, wv), (wv, equal_variant(rng, wv)),
+                         (conj, equal_variant(rng, conj))):
+                want = artin_images(n, x.letters) == artin_images(n, y.letters)
+                assert braid_equal(x, y) is want, (x, y)
+                equal += want
+                unequal += not want
+        assert equal >= 400 and unequal >= 400
+
 
 class TestValidation:
     def test_public_construction_is_checked(self):
@@ -466,15 +498,50 @@ class TestOrbits:
         orbit = m_equivalence_orbit(f, budget=10, conjugator_cap=1)
         assert len(orbit) == 10 and not orbit.exhausted
 
-    @pytest.mark.parametrize(
-        "strands, factors, budget, full_moves",
-        [
-            (3, [[1], [1], [2], [2]], 200, False),
-            (4, [[1], [2], [3]], 10_000, False),
-            (3, [[1], [2], [1], [2]], 10_000, False),
-            (3, [[1], [2]], 3000, True),
-        ],
-    )
+    def test_node_pair_cap_refuses_before_a_pair_is_built(self, monkeypatch):
+        # B3 has 4 generators: conjugators of length <= 3 give 1 + 4 + 16 + 64 pairs
+        def no_pairs(*args):
+            raise AssertionError("a level of node pairs was built")
+
+        f = F(3, [[1], [2]])
+        with monkeypatch.context() as m:
+            m.setattr(braids, "NODE_PAIR_CAP", 84)
+            m.setattr(braids, "_conjugate", no_pairs)
+            with pytest.raises(
+                BudgetExceeded,
+                match=r"^conjugator_cap = 3 on B_3 needs more than NODE_PAIR_CAP = 84"
+                r" node pairs; set surfmoduli\.braids\.NODE_PAIR_CAP = N to raise it$",
+            ):
+                m_equivalence_orbit(f, budget=5, conjugator_cap=3)
+        monkeypatch.setattr(braids, "NODE_PAIR_CAP", 85)
+        assert len(m_equivalence_orbit(f, budget=5, conjugator_cap=3)) == 5
+
+    def test_a_hurwitz_move_frees_each_delta_in_constant_work(self, monkeypatch):
+        # the longest adjacent factors of the budget-600 orbit, each about
+        # 90 simple factors with the Delta power; carrying each freed Delta
+        # to the front of the form took 1881 left-weightings
+        orbit = hurwitz_orbit(F(3, [[1], [1], [2], [2]]), budget=600)
+
+        def size(form):
+            return abs(form[0]) + len(form[1])
+
+        key = max(orbit.keys, key=lambda key: max(map(size, key)))
+        i = max(range(1, len(key)), key=lambda i: size(key[i - 1]) + size(key[i]))
+        a, b = key[i - 1], key[i]
+        weight, calls = braids._LeftNormalForms._weight, []
+
+        def counted(self, x, y):
+            calls.append((x, y))
+            return weight(self, x, y)
+
+        monkeypatch.setattr(braids._LeftNormalForms, "_weight", counted)
+        algebra = braids._LeftNormalForms(3)
+        moved = braids._hurwitz((a, b), 1, algebra.mul, algebra.inv)
+        assert size(a) + size(b) > 150
+        assert len(calls) <= 2 * (size(a) + size(b))
+        assert moved[1] == a
+
+    @pytest.mark.parametrize("strands, factors, budget, full_moves", BENCHMARK_ORBITS)
     def test_benchmark_orbits_match_the_oracle(self, strands, factors, budget, full_moves):
         f = F(strands, factors)
         if full_moves:
@@ -505,15 +572,28 @@ class TestOrbits:
         orbit = hurwitz_orbit(F(3, [[1], [1], [2], [2]]), budget=500)
         assert len(orbit) == 500 and not orbit.exhausted
 
-    def test_representatives_are_spelled_from_their_keys(self):
-        orbit = m_equivalence_orbit(F(3, [[1], [2]]), budget=300)
+    @pytest.mark.parametrize(
+        "strands, factors, budget, full_moves, cap",
+        [case + (1,) for case in BENCHMARK_ORBITS] + [(3, [[1], [2]], 300, True, 2)],
+    )
+    def test_representatives_are_spelled_from_their_keys(
+        self, strands, factors, budget, full_moves, cap
+    ):
+        f = F(strands, factors)
+        if full_moves:
+            orbit = m_equivalence_orbit(f, budget=budget, conjugator_cap=cap)
+        else:
+            orbit = hurwitz_orbit(f, budget=budget)
+        # each representative reads back as its key, in sorted order
+        got = [canonical_key(g) for g in orbit.factorizations]
+        assert orbit.keys == got == sorted(got)
         words = {}
         for key, g in zip(orbit.keys, orbit.factorizations):
-            assert canonical_key(g) == key
+            built = Factorization(strands, g.factors)
+            assert g == built and hash(g) == hash(built)
             for form, w in zip(key, g.factors):
                 # one shared word per distinct normal form
                 assert words.setdefault(form, w) is w
-        assert orbit.keys == sorted(orbit.keys)
 
     def test_negative_delta_power_is_absorbed_into_the_factors(self):
         # s1 s2 s1^-1 is Delta^-1 A1 A2, spelled as (A1^-1 Delta)^-1 A2
